@@ -252,6 +252,8 @@ def cmd_measure(args) -> int:
     return code
 
 
+_MEASURE_METHODS = ("auto", "exact", "mc")
+
 _SWEEP_KEYS = {
     "process": str,
     "d": int,
@@ -279,6 +281,11 @@ def _parse_sweep_config(path: str) -> dict:
             if key not in _SWEEP_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             config[key] = _SWEEP_KEYS[key](value.strip())
+            if key == "method" and config[key] not in _MEASURE_METHODS:
+                raise ValueError(f"{path}:{lineno}: method must be one of "
+                                 f"{', '.join(_MEASURE_METHODS)}, got {config[key]!r}")
+            if key == "samples" and config[key] < 1:
+                raise ValueError(f"{path}:{lineno}: samples must be >= 1, got {config[key]}")
     if "process" not in config or "d" not in config or "k" not in config:
         raise ValueError(f"{path}: a sweep needs at least process, d, and k")
     return config
@@ -490,7 +497,7 @@ def build_parser() -> _Parser:
     p.add_argument("--R", type=int, default=None)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=["auto", "exact", "mc"], default="auto")
+    p.add_argument("--method", choices=_MEASURE_METHODS, default="auto")
     p.add_argument("--eps", type=float, default=0.25, help="gaussian-sign only")
     p.add_argument("--D", type=int, default=8, help="gaussian-sign truncation radius")
     p.add_argument("--tail-tol", type=float, default=None)

@@ -18,12 +18,8 @@ class UndefinedQuantityError(TreeFactorError):
     """
 
 
-class NonConvergenceError(TreeFactorError):
-    """An iterative routine failed to converge within its iteration cap."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(f"{message} (after {iterations} iterations)")
-        self.iterations = iterations
+class InvariantError(TreeFactorError):
+    """Two computations that must agree did not: a bug, not a bad input."""
 
 
 class LocalAlgorithmError(TreeFactorError):

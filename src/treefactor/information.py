@@ -10,15 +10,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    NonConvergenceError,
-    UndefinedQuantityError,
-)
+from .errors import BudgetExceededError, UndefinedQuantityError
 
 SUM_TOLERANCE = 1e-12
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
@@ -148,72 +144,124 @@ class MeasuredQuantity:
         return f"{self.value:.9g} ± {self.stderr:.3g} (nats)"
 
 
-def _plugin_entropy(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """sum(-p log p) over the last axis, with 0 log 0 = 0."""
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
-def _bootstrap_stderr(J: JointDistribution, statistic: Callable[[np.ndarray], float],
-                      resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES) -> float:
-    """Std of the statistic over multinomial resamples of the counts.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row times column, so every joint of a stack takes the same BLAS dot
+    # as a single joint does (einsum sums in another order).
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    Resamples on which the statistic is undefined (possible for tiny
-    sample counts) are skipped.
-    """
+
+def _ratio(num: np.ndarray, den: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(defined, num / den, np.nan)
+
+
+def _correlation(m: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pearson correlation of f(X) and g(Y); NaN where a function has zero variance."""
+    px = m.sum(axis=-1)
+    py = m.sum(axis=-2)
+    a = f - _dot(px, f)[..., None]
+    b = g - _dot(py, g)[..., None]
+    var_f = _dot(px, a**2)
+    var_g = _dot(py, b**2)
+    cov = ((a[..., None, :] @ m) @ b[..., :, None])[..., 0, 0]
+    return _ratio(cov, np.sqrt(var_f * var_g), (var_f > 0) & (var_g > 0))
+
+
+def _statistics(m: np.ndarray, f: Optional[np.ndarray] = None,
+                g: Optional[np.ndarray] = None) -> dict[str, np.ndarray]:
+    """Plug-in statistics of a joint matrix (0-d arrays) or of a stack of
+    them along a leading axis (one entry per joint); NaN where undefined.
+    Given value maps f and g, "corr" is the correlation of f(X) and g(Y)."""
+    h_x = _entropy(m.sum(axis=-1))
+    h_y = _entropy(m.sum(axis=-2))
+    h_xy = _entropy(m.reshape(*m.shape[:-2], -1))
+    mi = h_x + h_y - h_xy
+    stats = {
+        "h_x": h_x,
+        "h_y": h_y,
+        "h_xy": h_xy,
+        "h_x_given_y": h_xy - h_y,
+        "h_y_given_x": h_xy - h_x,
+        "mi": mi,
+        "nmi_x": _ratio(mi, h_x, h_x != 0.0),
+        "nmi_y": _ratio(mi, h_y, h_y != 0.0),
+    }
+    if f is not None:
+        stats["corr"] = _correlation(m, f, g)
+    return stats
+
+
+def _resamples(J: JointDistribution) -> Optional[np.ndarray]:
+    """Frequency matrices of multinomial resamples of an empirical joint's
+    counts, stacked along a leading axis; None for an exact joint."""
     prov = J.provenance
     if prov.kind != "empirical" or prov.n_samples <= 0:
-        return 0.0
-    shape = J.shape
+        return None
     flat = J.as_array.ravel()
     flat = flat / flat.sum()
     rng = np.random.default_rng([_BOOTSTRAP_SALT, prov.seed if prov.seed is not None else 0])
-    draws = rng.multinomial(prov.n_samples, flat, size=resamples)
-    vals = []
-    for row in draws:
-        try:
-            vals.append(statistic(row.reshape(shape) / prov.n_samples))
-        except UndefinedQuantityError:
-            continue
-    if len(vals) < 2:
-        raise UndefinedQuantityError(
-            "statistic undefined on nearly all bootstrap resamples"
-        )
-    return float(np.std(vals, ddof=1))
+    draws = rng.multinomial(prov.n_samples, flat, size=DEFAULT_BOOTSTRAP_RESAMPLES)
+    return draws.reshape(-1, *J.shape) / prov.n_samples
 
 
-def _measured(J: JointDistribution, statistic: Callable[[np.ndarray], float]) -> MeasuredQuantity:
-    value = statistic(J.as_array)
-    return MeasuredQuantity(value, _bootstrap_stderr(J, statistic), "plug-in")
+class Estimates:
+    """Plug-in statistics of a joint law and, for an empirical joint, of
+    its bootstrap resamples, drawn once for every statistic.  Given value
+    maps f and g, the statistics include the correlation of f(X) and g(Y)."""
+
+    def __init__(self, J: JointDistribution, f: Optional[Sequence[float]] = None,
+                 g: Optional[Sequence[float]] = None):
+        if f is not None:
+            f = np.asarray(f, dtype=float)
+            g = np.asarray(g, dtype=float)
+        stack = _resamples(J)
+        self.point = _statistics(J.as_array, f, g)
+        self.resampled = None if stack is None else _statistics(stack, f, g)
+
+    def quantity(self, name: str) -> MeasuredQuantity:
+        """The named statistic with its bootstrap stderr.
+
+        Resamples on which it is undefined (possible for tiny sample
+        counts) are skipped.  Raises UndefinedQuantityError when the point
+        value is undefined, or when fewer than two resamples are defined.
+        """
+        value = float(self.point[name])
+        if math.isnan(value):
+            raise UndefinedQuantityError(
+                f"{name} undefined: a marginal entropy or a variance is 0"
+            )
+        if self.resampled is None:
+            return MeasuredQuantity(value, 0.0, "plug-in")
+        values = self.resampled[name]
+        values = values[~np.isnan(values)]
+        if len(values) < 2:
+            raise UndefinedQuantityError(
+                f"{name} undefined on nearly all bootstrap resamples"
+            )
+        return MeasuredQuantity(value, float(np.std(values, ddof=1)), "plug-in")
 
 
 def entropy(p: Distribution) -> MeasuredQuantity:
     """Shannon entropy sum(-p log p) in nats."""
-    return MeasuredQuantity(_plugin_entropy(p.as_array), 0.0, "plug-in")
+    return MeasuredQuantity(float(_entropy(p.as_array)), 0.0, "plug-in")
 
 
 def joint_entropy(J: JointDistribution) -> MeasuredQuantity:
-    return _measured(J, lambda m: _plugin_entropy(m.ravel()))
+    return Estimates(J).quantity("h_xy")
 
 
 def mutual_information(J: JointDistribution) -> MeasuredQuantity:
-    def stat(m: np.ndarray) -> float:
-        return (
-            _plugin_entropy(m.sum(axis=1))
-            + _plugin_entropy(m.sum(axis=0))
-            - _plugin_entropy(m.ravel())
-        )
-
-    return _measured(J, stat)
+    return Estimates(J).quantity("mi")
 
 
 def conditional_entropy(J: JointDistribution, given: Literal["x", "y"] = "y") -> MeasuredQuantity:
     """H(X|Y) for given="y" (the default), H(Y|X) for given="x"."""
-    axis = 0 if given == "y" else 1
-
-    def stat(m: np.ndarray) -> float:
-        return _plugin_entropy(m.ravel()) - _plugin_entropy(m.sum(axis=axis))
-
-    return _measured(J, stat)
+    return Estimates(J).quantity("h_x_given_y" if given == "y" else "h_y_given_x")
 
 
 def normalized_mi(J: JointDistribution, marginal: Literal["x", "y"] = "y") -> MeasuredQuantity:
@@ -222,22 +270,7 @@ def normalized_mi(J: JointDistribution, marginal: Literal["x", "y"] = "y") -> Me
     Raises UndefinedQuantityError when that marginal has zero entropy:
     the ratio has no value there, which is different from being 0.
     """
-    h_axis = 1 if marginal == "x" else 0
-
-    def stat(m: np.ndarray) -> float:
-        h = _plugin_entropy(m.sum(axis=h_axis))
-        if h == 0.0:
-            raise UndefinedQuantityError("normalized MI undefined: marginal entropy is 0")
-        i = (
-            _plugin_entropy(m.sum(axis=1))
-            + _plugin_entropy(m.sum(axis=0))
-            - _plugin_entropy(m.ravel())
-        )
-        return i / h
-
-    # Trigger the undefined check on the point estimate before bootstrap.
-    stat(J.as_array)
-    return _measured(J, stat)
+    return Estimates(J).quantity("nmi_x" if marginal == "x" else "nmi_y")
 
 
 def empirical_joint(
@@ -276,61 +309,31 @@ def correlation_of_functions(J: JointDistribution, f: Sequence[float], g: Sequen
     gv = np.asarray(g, dtype=float)
     if fv.shape != (m.shape[0],) or gv.shape != (m.shape[1],):
         raise ValueError("value maps must match the joint's alphabet sizes")
-    px = m.sum(axis=1)
-    py = m.sum(axis=0)
-    ef = float(px @ fv)
-    eg = float(py @ gv)
-    var_f = float(px @ (fv - ef) ** 2)
-    var_g = float(py @ (gv - eg) ** 2)
-    if var_f <= 0 or var_g <= 0:
+    value = float(_correlation(m, fv, gv))
+    if math.isnan(value):
         raise UndefinedQuantityError("correlation undefined: a function has zero variance")
-    cov = float((fv - ef) @ m @ (gv - eg))
-    return cov / math.sqrt(var_f * var_g)
+    return value
 
 
-def _normalized_matrix(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalized_matrix(m: np.ndarray) -> np.ndarray:
     # Drop zero-probability states: correlations ignore null sets.
     px = m.sum(axis=1)
     py = m.sum(axis=0)
     m = m[px > 0][:, py > 0]
-    px = px[px > 0]
-    py = py[py > 0]
-    q = m / np.sqrt(np.outer(px, py))
-    return q, px, py
+    return m / np.sqrt(np.outer(px[px > 0], py[py > 0]))
 
 
-def maximal_correlation(
-    J: JointDistribution, tol: float = 1e-10, max_iter: int = 100_000
-) -> float:
+def maximal_correlation(J: JointDistribution) -> float:
     """Largest correlation achievable by functions of the two coordinates.
 
     Equals the second singular value of the marginal-normalized joint
-    matrix.  The known top pair (singular value 1, vectors sqrt of the
-    marginals) is deflated from the matrix itself, then the remaining top
-    singular value is found by power iteration on the Gram matrix.
+    matrix; the first is 1, with the square roots of the marginals as
+    its singular vectors.
     """
-    q, px, py = _normalized_matrix(J.as_array)
+    q = _normalized_matrix(J.as_array)
     if min(q.shape) < 2:
         return 0.0
-    deflated = q - np.outer(np.sqrt(px), np.sqrt(py))
-    gram = deflated.T @ deflated
-    v = np.random.default_rng(0xA1FA).standard_normal(q.shape[1])
-    v /= np.linalg.norm(v)
-    lam = float(v @ gram @ v)
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ gram @ v)
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)) * 1e-3:
-            lam = new_lam
-            break
-        lam = new_lam
-    else:
-        raise NonConvergenceError("power iteration did not converge", max_iter)
-    return min(1.0, math.sqrt(max(lam, 0.0)))
+    return float(np.clip(np.linalg.svd(q, compute_uv=False)[1], 0.0, 1.0))
 
 
 def tensor_power(J: JointDistribution, n: int, budget: int = DEFAULT_TENSOR_BUDGET) -> JointDistribution:

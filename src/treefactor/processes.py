@@ -19,16 +19,17 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    InvariantError,
     LocalAlgorithmError,
     TruncationError,
 )
 from .information import (
     DEFAULT_BOOTSTRAP_RESAMPLES,
+    Estimates,
     JointDistribution,
     MeasuredQuantity,
     UndefinedQuantityError,
-    _bootstrap_stderr,
-    _plugin_entropy,
+    _entropy,
     joint_from_counts,
     symmetric_binary_joint,
 )
@@ -231,55 +232,19 @@ def measurement_from_joint(
 ) -> ProcessMeasurement:
     """Derive H, I, I/H and the value correlation (with bootstrap stderr
     for empirical joints) from a joint law."""
-
-    def h_stat(m: np.ndarray) -> float:
-        return _plugin_entropy(m.sum(axis=0))
-
-    def mi_stat(m: np.ndarray) -> float:
-        return (
-            _plugin_entropy(m.sum(axis=1))
-            + _plugin_entropy(m.sum(axis=0))
-            - _plugin_entropy(m.ravel())
-        )
-
-    def nmi_stat(m: np.ndarray) -> float:
-        h = h_stat(m)
-        if h == 0.0:
-            raise UndefinedQuantityError("zero-entropy marginal")
-        return mi_stat(m) / h
-
-    arr = J.as_array
-    quantities = {}
-    for key, stat in (("H", h_stat), ("I", mi_stat), ("nmi", nmi_stat)):
-        quantities[key] = MeasuredQuantity(stat(arr), _bootstrap_stderr(J, stat), "plug-in")
-
-    fx = np.asarray(x_values, dtype=float)
-    gy = np.asarray(y_values, dtype=float)
-
-    def corr_stat(m: np.ndarray) -> float:
-        px = m.sum(axis=1)
-        py = m.sum(axis=0)
-        ef = float(px @ fx)
-        eg = float(py @ gy)
-        var_f = float(px @ (fx - ef) ** 2)
-        var_g = float(py @ (gy - eg) ** 2)
-        if var_f <= 0 or var_g <= 0:
-            raise UndefinedQuantityError("zero variance")
-        return float((fx - ef) @ m @ (gy - eg)) / math.sqrt(var_f * var_g)
-
+    est = Estimates(J, x_values, y_values)
     try:
-        corr = MeasuredQuantity(corr_stat(arr), _bootstrap_stderr(J, corr_stat), "plug-in")
+        corr = est.quantity("corr")
     except UndefinedQuantityError:
         corr = None
-
     return ProcessMeasurement(
         d=d,
         k=k,
         method=method,
         joint=J,
-        entropy_v=quantities["H"],
-        mi=quantities["I"],
-        nmi=quantities["nmi"],
+        entropy_v=est.quantity("h_y"),
+        mi=est.quantity("mi"),
+        nmi=est.quantity("nmi_y"),
         corr=corr,
         samples=samples,
         seed=seed,
@@ -373,7 +338,7 @@ def exact_joint(
     joint /= total_mass
     gap = float(abs(joint - joint.T).max())
     if gap > 1e-12:
-        raise AssertionError(f"exact joint not exchangeable: transpose gap {gap}")
+        raise InvariantError(f"exact joint not exchangeable: transpose gap {gap}")
     J = JointDistribution.from_array(joint)
     values = _numeric_values(rule.output_values)
     return measurement_from_joint(d, k, J, values, values, "exact-enumeration")
@@ -556,46 +521,60 @@ def check_sparse_set(
     return sep_ok, dom_ok
 
 
+def _sparse_phase(
+    G: FiniteGraphInstance,
+    undecided: np.ndarray,
+    separation: int,
+    rng: np.random.Generator,
+    round_cap: int,
+) -> tuple[list[int], int]:
+    """One sparse-set phase on the vertices of the boolean mask ``undecided``.
+
+    Each round every undecided vertex proposes with probability 1/2 and the
+    proposal sticks iff no other proposer sits within the separation
+    distance; undecided vertices that then see a fixed vertex within that
+    distance drop out.  Returns the fixed vertices and the round count.
+    """
+    undecided = undecided.copy()
+    fixed_all: list[int] = []
+    rounds = 0
+    while np.any(undecided):
+        rounds += 1
+        if rounds > round_cap:
+            raise LocalAlgorithmError(
+                f"per-phase round cap {round_cap} exceeded; waiting times "
+                f"grow like 2^|B_L|, so large separations need a larger cap"
+            )
+        candidates = np.flatnonzero(undecided)
+        proposers = candidates[rng.random(len(candidates)) < 0.5].tolist()
+        proposer_set = set(proposers)
+        fixed = []
+        for p in proposers:
+            near = _within_distance(G.adjacency, [p], separation)
+            if not any(w != p and w in proposer_set for w in near):
+                fixed.append(p)
+        if fixed:
+            undecided[list(_within_distance(G.adjacency, fixed, separation))] = False
+            fixed_all.extend(fixed)
+    return fixed_all, rounds
+
+
 def sparse_set_labeling(
     G: FiniteGraphInstance, separation: int, seed: int, round_cap: int = DEFAULT_ROUND_CAP
 ) -> SparseSetResult:
     """Round-based 0/1 labeling: 1-labels pairwise further than ``separation``
     apart, yet every vertex has a 1-label within that distance.
 
-    Odd steps: every undefined vertex proposes with probability 1/2 and
-    the proposal sticks iff no other proposer sits within the separation
-    distance.  Even steps: undefined vertices that see a 1-label within
-    the separation distance become 0.  Both properties are re-checked on
-    the final labeling before returning.
+    One sparse-set phase on all vertices: the vertices it fixes get label
+    1, all others 0.  Both properties are re-checked on the final labeling
+    before returning.
     """
     if separation < 1:
         raise ValueError("separation must be >= 1")
     rng = np.random.default_rng(seed)
-    labels = np.full(G.n, -1, dtype=np.int64)
-    covered: set[int] = set()
-    rounds = 0
-    while np.any(labels == -1):
-        rounds += 1
-        if rounds > round_cap:
-            raise LocalAlgorithmError(
-                f"round cap {round_cap} exceeded; waiting times grow like "
-                f"2^|B_L|, so large separations need a larger cap"
-            )
-        undefined = np.flatnonzero(labels == -1)
-        coins = rng.random(len(undefined)) < 0.5
-        proposers = undefined[coins]
-        proposer_set = set(proposers.tolist())
-        fixed = []
-        for p in proposers.tolist():
-            near = _within_distance(G.adjacency, [p], separation)
-            if not any(w != p and w in proposer_set for w in near):
-                fixed.append(p)
-        labels[fixed] = 1
-        if fixed:
-            covered |= _within_distance(G.adjacency, fixed, separation)
-            for v in np.flatnonzero(labels == -1).tolist():
-                if v in covered:
-                    labels[v] = 0
+    fixed, rounds = _sparse_phase(G, np.ones(G.n, dtype=bool), separation, rng, round_cap)
+    labels = np.zeros(G.n, dtype=np.int64)
+    labels[fixed] = 1
     sep_ok, dom_ok = check_sparse_set(G, labels.tolist(), separation)
     if not (sep_ok and dom_ok):
         raise LocalAlgorithmError(
@@ -643,34 +622,9 @@ def sparse_coloring(
             raise LocalAlgorithmError(
                 f"more than {max_colors} colors needed; dynamics are broken"
             )
-        # Within a phase: -1 undecided, 0 excluded or already colored.
-        status = np.where(colors == 0, -1, 0)
-        covered: set[int] = set()
-        phase_rounds = 0
-        while np.any(status == -1):
-            phase_rounds += 1
-            rounds_total += 1
-            if phase_rounds > round_cap:
-                raise LocalAlgorithmError(
-                    f"per-phase round cap {round_cap} exceeded; waiting times "
-                    f"grow like 2^|B_L|, so large separations need a larger cap"
-                )
-            undecided = np.flatnonzero(status == -1)
-            coins = rng.random(len(undecided)) < 0.5
-            proposers = undecided[coins]
-            proposer_set = set(proposers.tolist())
-            fixed = []
-            for p in proposers.tolist():
-                near = _within_distance(G.adjacency, [p], separation)
-                if not any(w != p and w in proposer_set for w in near):
-                    colors[p] = color
-                    status[p] = 0
-                    fixed.append(p)
-            if fixed:
-                covered |= _within_distance(G.adjacency, fixed, separation)
-                for v in np.flatnonzero(status == -1).tolist():
-                    if v in covered:
-                        status[v] = 0
+        fixed, rounds = _sparse_phase(G, colors == 0, separation, rng, round_cap)
+        colors[fixed] = color
+        rounds_total += rounds
     if not check_sparse_coloring(G, colors.tolist(), separation):
         raise LocalAlgorithmError("coloring violates its separation contract")
     return SparseColoringResult(
@@ -757,22 +711,13 @@ def listing_finite_N_mi(
 
     def ratio_from(idx: np.ndarray) -> tuple[float, float, float]:
         sel = pairs[idx]
-        joint_counts: dict[tuple[int, int], int] = {}
-        for a, b in sel.tolist():
-            joint_counts[(a, b)] = joint_counts.get((a, b), 0) + 1
         total = len(idx)
-        pj = np.asarray(list(joint_counts.values()), dtype=float) / total
-        first: dict[int, float] = {}
-        second: dict[int, float] = {}
-        for (a, b), c in joint_counts.items():
-            first[a] = first.get(a, 0) + c / total
-            second[b] = second.get(b, 0) + c / total
-        h_joint = _plugin_entropy(pj)
-        h_u = _plugin_entropy(np.asarray(list(first.values())))
-        h_v = _plugin_entropy(np.asarray(list(second.values())))
-        mi_pat = h_u + h_v - h_joint
-        mi_total = mi_pat + float(shared[idx].mean()) * log_n
-        h_total = h_v + float(sizes[idx].mean()) * log_n
+        _, joint_counts = np.unique(sel[:, 0] * len(patterns) + sel[:, 1], return_counts=True)
+        h_joint = _entropy(joint_counts / total)
+        h_u = _entropy(np.bincount(sel[:, 0]) / total)
+        h_v = _entropy(np.bincount(sel[:, 1]) / total)
+        mi_total = float(h_u + h_v - h_joint) + float(shared[idx].mean()) * log_n
+        h_total = float(h_v) + float(sizes[idx].mean()) * log_n
         return mi_total / h_total, mi_total, h_total
 
     all_idx = np.arange(len(pairs))

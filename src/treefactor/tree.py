@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .words import (
     Word,
     inverse,
@@ -195,9 +195,9 @@ def ball_intersection_size(
 ) -> int:
     """|B_R(u) & B_R(v)| for any u, v at distance k.
 
-    Enumerates both balls while they fit in the budget; beyond that it
-    uses the path-offset counting formula (the two are cross-checked in
-    the test suite).
+    Enumerates both balls while they fit in the budget and checks the
+    count against the path-offset counting formula; beyond that it uses
+    the formula alone.
     """
     if d < 3 or radius < 0 or k < 0:
         raise ValueError(f"invalid arguments d={d}, R={radius}, k={k}")
@@ -208,7 +208,11 @@ def ball_intersection_size(
     a = _ball_addresses(u.address, radius)
     b = _ball_addresses(v.address, radius)
     size = len(a & b)
-    assert size == _intersection_size_formula(d, radius, k)
+    formula = _intersection_size_formula(d, radius, k)
+    if size != formula:
+        raise InvariantError(
+            f"ball intersection d={d} R={radius} k={k}: enumerated {size}, formula {formula}"
+        )
     return size
 
 

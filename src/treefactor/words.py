@@ -102,20 +102,9 @@ def _pack_letters(seq: Iterable, sig: FreeProductSignature) -> tuple[int, ...]:
     return tuple(packed)
 
 
-def _reduce_raw(letters: Sequence[int], r: int) -> tuple[int, ...]:
-    # Single left-to-right pass with a stack; each letter is pushed or
-    # cancels the top, so the result is the unique reduced form.
-    stack: list[int] = []
-    for x in letters:
-        inv = -x if abs(x) <= r else x
-        if stack and stack[-1] == inv:
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
-
-
 def _multiply_raw(a: Sequence[int], b: Sequence[int], r: int) -> tuple[int, ...]:
+    # Push b's letters onto reduced a, each cancelling the top when it is
+    # its inverse; with a = () this is the unique reduced form of b.
     stack = list(a)
     for x in b:
         inv = -x if abs(x) <= r else x
@@ -140,7 +129,7 @@ class Word:
     def __post_init__(self):
         for x in self.letters:
             self.sig.validate_letter(x)
-        if self.letters != _reduce_raw(self.letters, self.sig.r):
+        if self.letters != _multiply_raw((), self.letters, self.sig.r):
             raise ValueError(f"letters {self.letters} are not in reduced form")
 
     def __len__(self) -> int:
@@ -170,7 +159,7 @@ class Word:
     @classmethod
     def from_letters(cls, seq: Iterable, sig: FreeProductSignature) -> "Word":
         """Build the reduced word representing the product of ``seq``."""
-        return cls(_reduce_raw(_pack_letters(seq, sig), sig.r), sig)
+        return cls(_multiply_raw((), _pack_letters(seq, sig), sig.r), sig)
 
 
 def reduce(seq: Iterable, sig: FreeProductSignature) -> Word:

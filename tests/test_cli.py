@@ -183,6 +183,23 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == EXIT_USAGE
 
+    def test_unknown_method_rejected(self, capsys, tmp_path):
+        # An unknown method used to fall through to Monte Carlo.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("process = majority\nd = 3\nk = 1\nmethod = exakt\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert f"{cfg}:4: method must be one of auto, exact, mc" in err
+        assert out == ""
+
+    def test_nonpositive_samples_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("process = majority\nd = 3\nk = 1\nmethod = mc\nsamples = 0\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert f"{cfg}:5: samples must be >= 1" in err
+        assert out == ""
+
 
 class TestBudgetEnvVar:
     def test_env_var_supplies_default_budget(self, capsys, monkeypatch):

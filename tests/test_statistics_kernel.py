@@ -1,0 +1,256 @@
+"""The statistics kernel against the per-statistic reference it replaced.
+
+The reference evaluates each statistic in its own closure and bootstraps
+each one with its own multinomial redraw of the same resamples; the
+kernel draws the resamples once and evaluates every statistic on the
+whole stack.  On 2x2 joints every sum has fewer than eight terms, so the
+two agree bit for bit.  On larger joints the zero entries take part in
+numpy's pairwise sums, which moves the last bits.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from treefactor.errors import UndefinedQuantityError
+from treefactor.information import (
+    DEFAULT_BOOTSTRAP_RESAMPLES,
+    _BOOTSTRAP_SALT,
+    Estimates,
+    conditional_entropy,
+    joint_entropy,
+    joint_from_counts,
+    mutual_information,
+    normalized_mi,
+)
+from treefactor.processes import (
+    SparseColoringResult,
+    _vertices_at_distance,
+    _within_distance,
+    listing_finite_N_mi,
+    measurement_from_joint,
+    random_regular_graph,
+)
+
+
+def ref_entropy(p):
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def ref_stderr(J, statistic):
+    prov = J.provenance
+    if prov.kind != "empirical" or prov.n_samples <= 0:
+        return 0.0
+    flat = J.as_array.ravel()
+    flat = flat / flat.sum()
+    rng = np.random.default_rng([_BOOTSTRAP_SALT, prov.seed if prov.seed is not None else 0])
+    draws = rng.multinomial(prov.n_samples, flat, size=DEFAULT_BOOTSTRAP_RESAMPLES)
+    vals = []
+    for row in draws:
+        try:
+            vals.append(statistic(row.reshape(J.shape) / prov.n_samples))
+        except UndefinedQuantityError:
+            continue
+    if len(vals) < 2:
+        raise UndefinedQuantityError("statistic undefined on nearly all bootstrap resamples")
+    return float(np.std(vals, ddof=1))
+
+
+def ref_statistics(fx, gy):
+    def h_y(m):
+        return ref_entropy(m.sum(axis=0))
+
+    def h_xy(m):
+        return ref_entropy(m.ravel())
+
+    def cond_x_given_y(m):
+        return ref_entropy(m.ravel()) - ref_entropy(m.sum(axis=0))
+
+    def mi(m):
+        return ref_entropy(m.sum(axis=1)) + ref_entropy(m.sum(axis=0)) - ref_entropy(m.ravel())
+
+    def nmi(m):
+        h = h_y(m)
+        if h == 0.0:
+            raise UndefinedQuantityError("zero-entropy marginal")
+        return mi(m) / h
+
+    def corr(m):
+        px = m.sum(axis=1)
+        py = m.sum(axis=0)
+        ef = float(px @ fx)
+        eg = float(py @ gy)
+        var_f = float(px @ (fx - ef) ** 2)
+        var_g = float(py @ (gy - eg) ** 2)
+        if var_f <= 0 or var_g <= 0:
+            raise UndefinedQuantityError("zero variance")
+        return float((fx - ef) @ m @ (gy - eg)) / math.sqrt(var_f * var_g)
+
+    return {"H": h_y, "H_xy": h_xy, "H_x|y": cond_x_given_y, "I": mi, "nmi": nmi, "corr": corr}
+
+
+def outcome(fn):
+    """fn(), or the error type when the quantity is undefined."""
+    try:
+        return fn()
+    except UndefinedQuantityError:
+        return UndefinedQuantityError
+
+
+def pair(q):
+    return (q.value, q.stderr)
+
+
+def reference(J, fx, gy):
+    out = {}
+    for name, stat in ref_statistics(fx, gy).items():
+        out[name] = outcome(lambda: (stat(J.as_array), ref_stderr(J, stat)))
+    return out
+
+
+def kernel(J, fx, gy):
+    """The same statistics through the public functions and measurement_from_joint."""
+    out = {
+        "H_xy": outcome(lambda: pair(joint_entropy(J))),
+        "H_x|y": outcome(lambda: pair(conditional_entropy(J))),
+        "I": outcome(lambda: pair(mutual_information(J))),
+        "nmi": outcome(lambda: pair(normalized_mi(J))),
+    }
+    pm = outcome(lambda: measurement_from_joint(2, 1, J, fx, gy, "monte-carlo"))
+    if pm is UndefinedQuantityError:
+        # Only an undefined I/H makes the whole measurement fail.
+        assert out["nmi"] is UndefinedQuantityError
+        est = Estimates(J, fx, gy)
+        out["H"] = outcome(lambda: pair(est.quantity("h_y")))
+        out["corr"] = outcome(lambda: pair(est.quantity("corr")))
+    else:
+        assert (pair(pm.mi), pair(pm.nmi)) == (out["I"], out["nmi"])
+        out["H"] = pair(pm.entropy_v)
+        out["corr"] = UndefinedQuantityError if pm.corr is None else pair(pm.corr)
+    return out
+
+
+def random_counts(rng, shape):
+    while True:
+        counts = rng.integers(0, int(rng.choice([4, 40, 4000])), size=shape)
+        if counts.sum() > 0:
+            return counts
+
+
+def test_2x2_bit_for_bit():
+    rng = np.random.default_rng(2061)
+    undefined = 0
+    for trial in range(150):
+        J = joint_from_counts(random_counts(rng, (2, 2)), seed=trial)
+        fx = np.asarray([0.0, 1.0]) if trial % 3 else np.asarray([1.0, 1.0])
+        gy = np.asarray([1.0, -1.0])
+        want = reference(J, fx, gy)
+        got = kernel(J, fx, gy)
+        assert got == want, (J.counts, got, want)
+        undefined += sum(v is UndefinedQuantityError for v in want.values())
+    assert undefined > 0  # the undefined cases were exercised
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_larger_joints_to_1e12(size):
+    rng = np.random.default_rng(size)
+    for trial in range(40):
+        J = joint_from_counts(random_counts(rng, (size, size)), seed=trial)
+        fx = rng.normal(size=size) if trial % 4 else np.ones(size)
+        gy = rng.normal(size=size)
+        want = reference(J, fx, gy)
+        got = kernel(J, fx, gy)
+        assert got.keys() == want.keys()
+        for name, expected in want.items():
+            if expected is UndefinedQuantityError:
+                assert got[name] is UndefinedQuantityError, name
+                continue
+            for a, b in zip(got[name], expected):
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-300), (name, J.counts)
+
+
+def test_one_multinomial_draw_per_measurement(monkeypatch):
+    calls = []
+    real = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def multinomial(self, *args, **kwargs):
+            calls.append(args)
+            return self._rng.multinomial(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    J = joint_from_counts(np.array([[30, 10, 2], [12, 28, 5]]), seed=3)
+    measurement_from_joint(2, 1, J, (0.0, 1.0), (0.0, 1.0, 2.0), "monte-carlo")
+    assert len(calls) == 1
+    normalized_mi(J)
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# listing_finite_N_mi: dict-based pattern counts as the reference
+# ---------------------------------------------------------------------------
+
+
+def ref_listing(radius, k, n_labels, coloring, resamples=DEFAULT_BOOTSTRAP_RESAMPLES):
+    G = coloring.graph
+    colors = coloring.colors
+    patterns = {}
+    pair_rows, ball_sizes, shared_sizes = [], [], []
+    for u in range(G.n):
+        pat_u = frozenset(colors[w] for w in _within_distance(G.adjacency, [u], radius))
+        for v in _vertices_at_distance(G, u, k):
+            pat_v = frozenset(colors[w] for w in _within_distance(G.adjacency, [v], radius))
+            iu = patterns.setdefault(pat_u, len(patterns))
+            iv = patterns.setdefault(pat_v, len(patterns))
+            pair_rows.append((iu, iv))
+            ball_sizes.append(len(pat_v))
+            shared_sizes.append(len(pat_u & pat_v))
+    pairs = np.asarray(pair_rows, dtype=np.int64)
+    sizes = np.asarray(ball_sizes, dtype=float)
+    shared = np.asarray(shared_sizes, dtype=float)
+    log_n = math.log(n_labels)
+
+    def ratio_from(idx):
+        joint_counts = {}
+        for a, b in pairs[idx].tolist():
+            joint_counts[(a, b)] = joint_counts.get((a, b), 0) + 1
+        total = len(idx)
+        pj = np.asarray(list(joint_counts.values()), dtype=float) / total
+        first, second = {}, {}
+        for (a, b), c in joint_counts.items():
+            first[a] = first.get(a, 0) + c / total
+            second[b] = second.get(b, 0) + c / total
+        h_v = ref_entropy(np.asarray(list(second.values())))
+        mi_pat = ref_entropy(np.asarray(list(first.values()))) + h_v - ref_entropy(pj)
+        mi_total = mi_pat + float(shared[idx].mean()) * log_n
+        return mi_total / (h_v + float(sizes[idx].mean()) * log_n)
+
+    rng = np.random.default_rng([0xC0105, coloring.seed])
+    resampled = [ratio_from(rng.integers(0, len(pairs), size=len(pairs)))
+                 for _ in range(resamples)]
+    return ratio_from(np.arange(len(pairs))), float(np.std(resampled, ddof=1))
+
+
+def greedy_coloring(G, separation, seed):
+    """A distance-``separation`` coloring, one vertex at a time."""
+    colors = [0] * G.n
+    for v in range(G.n):
+        used = {colors[w] for w in _within_distance(G.adjacency, [v], separation)}
+        colors[v] = min(c for c in range(1, len(used) + 2) if c not in used)
+    return SparseColoringResult(G, separation, tuple(colors), max(colors), 0, seed)
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+def test_listing_matches_dict_reference(radius):
+    k = 1
+    G = random_regular_graph(200, 3, seed=5)
+    coloring = greedy_coloring(G, 2 * radius + k, seed=11)
+    pm = listing_finite_N_mi(3, radius, k, 16, coloring)
+    nmi, stderr = ref_listing(radius, k, 16, coloring)
+    assert pm.nmi.value == pytest.approx(nmi, rel=1e-12)
+    assert pm.nmi.stderr == pytest.approx(stderr, rel=1e-12)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from treefactor.bounds import normalized_mi_bound
-from treefactor.errors import BudgetExceededError
+from treefactor import tree
+from treefactor.errors import BudgetExceededError, InvariantError
 from treefactor.tree import (
     _ball_addresses,
     _intersection_size_formula,
@@ -141,6 +142,15 @@ class TestIntersections:
     def test_formula_used_beyond_budget(self):
         small = ball_intersection_size(3, 4, 2)
         assert ball_intersection_size(3, 4, 2, budget=10) == small
+
+    def test_formula_disagreement_raises_typed_error(self, monkeypatch):
+        # A check that `python -O` cannot strip.
+        monkeypatch.setattr(
+            tree, "_intersection_size_formula",
+            lambda d, radius, k: _intersection_size_formula(d, radius, k) + 1,
+        )
+        with pytest.raises(InvariantError, match="enumerated 4, formula 5"):
+            ball_intersection_size(3, 2, 2)
 
 
 class TestListingRatio:
