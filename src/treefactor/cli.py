@@ -264,12 +264,13 @@ _SWEEP_KEYS = {
     "method": str,
     "eps": float,
     "D": int,
+    "tail_tol": float,
 }
 
 
 def _parse_sweep_config(path: str) -> dict:
     config = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -280,7 +281,13 @@ def _parse_sweep_config(path: str) -> dict:
             key = key.strip()
             if key not in _SWEEP_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            config[key] = _SWEEP_KEYS[key](value.strip())
+            convert = _SWEEP_KEYS[key]
+            value = value.strip()
+            try:
+                config[key] = convert(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be {convert.__name__}, "
+                                 f"got {value!r}") from None
             if key == "method" and config[key] not in _MEASURE_METHODS:
                 raise ValueError(f"{path}:{lineno}: method must be one of "
                                  f"{', '.join(_MEASURE_METHODS)}, got {config[key]!r}")
@@ -314,7 +321,7 @@ def cmd_sweep(args) -> int:
             method=config.get("method", "auto"),
             eps=config.get("eps", 0.25),
             D=config.get("D", 8),
-            tail_tol=None,
+            tail_tol=config.get("tail_tol"),
             budget=args.budget,
         )
         k_rows, k_lines, code = _measure_dispatch(ns)

@@ -3,8 +3,10 @@ machinery to measure the joint law of two vertices at distance k.
 
 Local rules are functions of *canonicalized* labeled rooted balls, which
 makes them invariant under root-preserving automorphisms by construction.
-Measurements come from exact enumeration of the product measure where
-that is affordable, and from seeded Monte Carlo otherwise.
+Each rule is compiled once to a lookup table over the labelings of its
+ball.  Measurements come from exact enumeration of the product measure
+where that is affordable, and from seeded Monte Carlo otherwise; both read
+the same table.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ DEFAULT_ENUM_BUDGET = 2**24
 DEFAULT_REGION_VERTEX_BUDGET = 60_000
 DEFAULT_ROUND_CAP = 10_000
 MC_CHUNK = 10_000
+_ENUM_BLOCK = 4096  # configurations per block of exact enumeration; bounds its memory
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +64,9 @@ class BlockFactorRule:
     ``fn`` receives the canonical code of the rooted labeled ball: a pair
     ``(root_label, sorted_child_codes)`` built recursively, so any two
     label patterns related by a root-preserving automorphism give the
-    same code and therefore the same output.
+    same code and therefore the same output.  ``fn`` is called once per
+    labeling of the ball, zero-probability labels included, when the
+    rule is compiled to a table, so it must be a pure function of the code.
     """
 
     name: str
@@ -301,6 +306,52 @@ def _two_ball_region(d: int, radius: int, k: int, budget_vertices: int) -> _Regi
     )
 
 
+def _compile_ball(
+    rule: BlockFactorRule, n_region: int, root: int, children: Sequence[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule as a lookup table over the labelings of one ball.
+
+    Returns ``(ball, place, table)``: the ball's region indices in
+    breadth-first order from the root, the place values that turn a row of
+    label indices on those vertices into a code (first vertex most
+    significant, as in ``iproduct``), and the index in
+    ``rule.output_values`` of the rule's output for every code.
+    """
+    ball = [root]
+    for x in ball:  # the list grows while it is read: breadth-first
+        ball.extend(children[x])
+    n_values = len(rule.input_values)
+    size = n_values ** len(ball)
+    if size > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"a lookup table over the {len(ball)}-vertex ball has {size} entries, "
+            f"over the budget of {DEFAULT_ENUM_BUDGET}"
+        )
+    out_index = {val: i for i, val in enumerate(rule.output_values)}
+    labels: list = [None] * n_region
+    table = np.empty(size, dtype=np.int64)
+    for code, assignment in enumerate(iproduct(rule.input_values, repeat=len(ball))):
+        for x, label in zip(ball, assignment):
+            labels[x] = label
+        table[code] = out_index[rule.fn(canonical_ball_code(labels, root, children))]
+    place = n_values ** np.arange(len(ball) - 1, -1, -1, dtype=np.int64)
+    return np.asarray(ball, dtype=np.intp), place, table
+
+
+def _joint_cells(rule: BlockFactorRule, setup: _RegionSetup) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile the rule at both roots; the returned function maps rows of
+    label indices on the region to the flat (X_u, X_v) cell of each row."""
+    n_region = len(setup.region.vertices)
+    ball_u, place_u, table_u = _compile_ball(rule, n_region, setup.root_u, setup.children_u)
+    ball_v, place_v, table_v = _compile_ball(rule, n_region, setup.root_v, setup.children_v)
+    m = len(rule.output_values)
+
+    def cells(rows: np.ndarray) -> np.ndarray:
+        return table_u[rows[:, ball_u] @ place_u] * m + table_v[rows[:, ball_v] @ place_v]
+
+    return cells
+
+
 def exact_joint(
     rule: BlockFactorRule,
     d: int,
@@ -320,20 +371,17 @@ def exact_joint(
             f"{total} label configurations exceed the budget of {budget}; "
             "use mc_joint for a sampled estimate"
         )
-    out_index = {val: i for i, val in enumerate(rule.output_values)}
+    cells = _joint_cells(rule, setup)
     m = len(rule.output_values)
-    joint = np.zeros((m, m), dtype=float)
-    probs = rule.input_probs
-    for assignment in iproduct(range(n_values), repeat=n_vertices):
-        weight = 1.0
-        for idx in assignment:
-            weight *= probs[idx]
-        if weight == 0.0:
-            continue
-        labels = [rule.input_values[i] for i in assignment]
-        xu = rule.fn(canonical_ball_code(labels, setup.root_u, setup.children_u))
-        xv = rule.fn(canonical_ball_code(labels, setup.root_v, setup.children_v))
-        joint[out_index[xu], out_index[xv]] += weight
+    probs = np.asarray(rule.input_probs, dtype=float)
+    place = n_values ** np.arange(n_vertices - 1, -1, -1, dtype=np.int64)
+    joint = np.zeros(m * m, dtype=float)
+    for start in range(0, total, _ENUM_BLOCK):
+        codes = np.arange(start, min(start + _ENUM_BLOCK, total), dtype=np.int64)
+        digits = codes[:, None] // place % n_values  # configurations in iproduct order
+        weights = np.prod(probs[digits], axis=1)
+        joint += np.bincount(cells(digits), weights=weights, minlength=m * m)
+    joint = joint.reshape(m, m)
     total_mass = joint.sum()
     joint /= total_mass
     gap = float(abs(joint - joint.T).max())
@@ -364,21 +412,17 @@ def mc_joint(
         raise ValueError("samples must be >= 1")
     setup = _two_ball_region(d, rule.radius, k, DEFAULT_REGION_VERTEX_BUDGET)
     n_vertices = len(setup.region.vertices)
+    cells = _joint_cells(rule, setup)
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = len(rule.output_values)
-    out_index = {val: i for i, val in enumerate(rule.output_values)}
-    counts = np.zeros((m, m), dtype=np.int64)
+    counts = np.zeros(m * m, dtype=np.int64)
     remaining = samples
     while remaining > 0:
         chunk = min(MC_CHUNK, remaining)
         draws = rng.choice(len(rule.input_values), size=(chunk, n_vertices), p=rule.input_probs)
-        for row in draws:
-            labels = [rule.input_values[i] for i in row]
-            xu = rule.fn(canonical_ball_code(labels, setup.root_u, setup.children_u))
-            xv = rule.fn(canonical_ball_code(labels, setup.root_v, setup.children_v))
-            counts[out_index[xu], out_index[xv]] += 1
+        counts += np.bincount(cells(draws), minlength=m * m)
         remaining -= chunk
-    J = joint_from_counts(counts, seed)
+    J = joint_from_counts(counts.reshape(m, m), seed)
     values = _numeric_values(rule.output_values)
     return measurement_from_joint(
         d, k, J, values, values, "monte-carlo", samples=samples, seed=seed
@@ -954,10 +998,11 @@ def gaussian_sign_measure(
         w_v[i] = spec.alpha(dv) if dv <= D else 0.0
     rng = np.random.Generator(np.random.Philox(key=seed))
     counts = np.zeros(4, dtype=np.int64)
+    buf = np.empty((min(MC_CHUNK, samples), len(region.vertices)))
     remaining = samples
     while remaining > 0:
         chunk = min(MC_CHUNK, remaining)
-        z = rng.standard_normal((chunk, len(region.vertices)))
+        z = rng.standard_normal(out=buf[:chunk])
         yu = z @ w_u
         yv = z @ w_v
         su = (yu < 0).astype(np.int64)  # sign(0) counts as +1, index 0

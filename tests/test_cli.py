@@ -1,11 +1,22 @@
 import csv
 import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treefactor import bounds as bounds_mod
-from treefactor.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT_FAILED, main
+from treefactor.cli import (
+    _SWEEP_KEYS,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERDICT_FAILED,
+    _parse_sweep_config,
+    main,
+)
 from treefactor.information import MeasuredQuantity
 
 
@@ -199,6 +210,58 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert f"{cfg}:5: samples must be >= 1" in err
         assert out == ""
+
+    def test_unconvertible_value_names_file_and_line(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("process = majority\nd = 3\nk = 1\nmethod = mc\nsamples = 1e5\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert f"{cfg}:5: samples must be int, got '1e5'" in err
+        assert out == ""
+
+    def test_tail_tol_reaches_the_gaussian_measurement(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        body = "process = gaussian-sign\nd = 3\nk = 1:2\nmethod = exact\nD = 8\n"
+        cfg.write_text(body)
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_OK
+        cfg.write_text(body + "tail_tol = 1e-9\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "exceeds 1e-09 * value" in err
+        assert "raise the truncation radius" in err
+        assert out == ""
+
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=40)
+_SWEEP_LINE = st.one_of(
+    _TEXT,
+    st.builds("{} = {}".format, st.sampled_from(sorted(_SWEEP_KEYS) + ["bogus"]), _TEXT),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(sorted(_SWEEP_KEYS)),
+        st.one_of(st.integers(-3, 10**6).map(str), st.floats().map(repr),
+                  st.sampled_from(["auto", "exact", "mc", "majority", "1:3", "1,2"])),
+    ),
+)
+
+
+class TestSweepConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_SWEEP_LINE, max_size=12))
+    def test_returns_a_dict_or_names_the_file(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sweep.cfg")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("\n".join(lines))
+            try:
+                config = _parse_sweep_config(path)
+            except ValueError as exc:
+                assert type(exc) is ValueError
+                assert str(exc).startswith(f"{path}:")
+            else:
+                assert isinstance(config, dict)
+                assert {"process", "d", "k"} <= set(config)
 
 
 class TestBudgetEnvVar:
