@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -254,55 +255,73 @@ def cmd_measure(args) -> int:
 
 _MEASURE_METHODS = ("auto", "exact", "mc")
 
+
+def _parse_k_values(spec: str) -> list[int]:
+    if ":" in spec:
+        lo, _, hi = spec.partition(":")
+        ks = list(range(int(lo), int(hi) + 1))
+    else:
+        ks = [int(part) for part in spec.split(",")]
+    if not ks or min(ks) < 0:
+        raise ValueError(spec)
+    return ks
+
+
+def _positive_float(spec: str) -> float:
+    value = float(spec)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(spec)
+    return value
+
+
+# key -> (conversion, what the value must be)
 _SWEEP_KEYS = {
-    "process": str,
-    "d": int,
-    "k": str,
-    "R": int,
-    "samples": int,
-    "seed": int,
-    "method": str,
-    "eps": float,
-    "D": int,
-    "tail_tol": float,
+    "process": (str, "str"),
+    "d": (int, "int"),
+    "k": (_parse_k_values, "distances >= 0 as n, lo:hi or n,m,..."),
+    "R": (int, "int"),
+    "samples": (int, "int"),
+    "seed": (int, "int"),
+    "method": (str, "str"),
+    "eps": (float, "float"),
+    "D": (int, "int"),
+    "tail_tol": (_positive_float, "a positive finite float"),
 }
 
 
 def _parse_sweep_config(path: str) -> dict:
     config = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _SWEEP_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            convert = _SWEEP_KEYS[key]
-            value = value.strip()
-            try:
-                config[key] = convert(value)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {key} must be {convert.__name__}, "
-                                 f"got {value!r}") from None
-            if key == "method" and config[key] not in _MEASURE_METHODS:
-                raise ValueError(f"{path}:{lineno}: method must be one of "
-                                 f"{', '.join(_MEASURE_METHODS)}, got {config[key]!r}")
-            if key == "samples" and config[key] < 1:
-                raise ValueError(f"{path}:{lineno}: samples must be >= 1, got {config[key]}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, raw_bytes in enumerate(data.splitlines(), 1):  # \n, \r\n or \r, as text mode
+        try:
+            raw = raw_bytes.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _SWEEP_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        convert, expected = _SWEEP_KEYS[key]
+        value = value.strip()
+        try:
+            config[key] = convert(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} must be {expected}, "
+                             f"got {value!r}") from None
+        if key == "method" and config[key] not in _MEASURE_METHODS:
+            raise ValueError(f"{path}:{lineno}: method must be one of "
+                             f"{', '.join(_MEASURE_METHODS)}, got {config[key]!r}")
+        if key == "samples" and config[key] < 1:
+            raise ValueError(f"{path}:{lineno}: samples must be >= 1, got {config[key]}")
     if "process" not in config or "d" not in config or "k" not in config:
         raise ValueError(f"{path}: a sweep needs at least process, d, and k")
     return config
-
-
-def _parse_k_values(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, _, hi = spec.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in spec.split(",")]
 
 
 def cmd_sweep(args) -> int:
@@ -310,7 +329,7 @@ def cmd_sweep(args) -> int:
     worst = EXIT_OK
     rows: list[dict] = []
     lines: list[str] = []
-    for k in _parse_k_values(config["k"]):
+    for k in config["k"]:
         ns = argparse.Namespace(
             process=config["process"],
             d=config["d"],

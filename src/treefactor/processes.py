@@ -3,10 +3,10 @@ machinery to measure the joint law of two vertices at distance k.
 
 Local rules are functions of *canonicalized* labeled rooted balls, which
 makes them invariant under root-preserving automorphisms by construction.
-Each rule is compiled once to a lookup table over the labelings of its
-ball.  Measurements come from exact enumeration of the product measure
-where that is affordable, and from seeded Monte Carlo otherwise; both read
-the same table.
+A rule runs once per distinct labeling of its ball that a measurement
+meets.  Measurements come from exact enumeration of the product measure
+where that is affordable, and from seeded Monte Carlo otherwise; both go
+through the same evaluation of the rule.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ DEFAULT_REGION_VERTEX_BUDGET = 60_000
 DEFAULT_ROUND_CAP = 10_000
 MC_CHUNK = 10_000
 _ENUM_BLOCK = 4096  # configurations per block of exact enumeration; bounds its memory
+_KNOWN_LABELINGS = 1 << 16  # ball labelings whose rule output is kept; bounds that memory
 
 
 # ---------------------------------------------------------------------------
@@ -306,48 +307,66 @@ def _two_ball_region(d: int, radius: int, k: int, budget_vertices: int) -> _Regi
     )
 
 
-def _compile_ball(
-    rule: BlockFactorRule, n_region: int, root: int, children: Sequence[tuple[int, ...]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rule as a lookup table over the labelings of one ball.
-
-    Returns ``(ball, place, table)``: the ball's region indices in
-    breadth-first order from the root, the place values that turn a row of
-    label indices on those vertices into a code (first vertex most
-    significant, as in ``iproduct``), and the index in
-    ``rule.output_values`` of the rule's output for every code.
-    """
+def _ball(root: int, children: Sequence[tuple[int, ...]]) -> tuple[list[int], tuple]:
+    """The ball's region indices breadth-first from the root, and its shape:
+    the children of each position, as positions in that list."""
     ball = [root]
     for x in ball:  # the list grows while it is read: breadth-first
         ball.extend(children[x])
-    n_values = len(rule.input_values)
-    size = n_values ** len(ball)
-    if size > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"a lookup table over the {len(ball)}-vertex ball has {size} entries, "
-            f"over the budget of {DEFAULT_ENUM_BUDGET}"
-        )
-    out_index = {val: i for i, val in enumerate(rule.output_values)}
-    labels: list = [None] * n_region
-    table = np.empty(size, dtype=np.int64)
-    for code, assignment in enumerate(iproduct(rule.input_values, repeat=len(ball))):
-        for x, label in zip(ball, assignment):
-            labels[x] = label
-        table[code] = out_index[rule.fn(canonical_ball_code(labels, root, children))]
-    place = n_values ** np.arange(len(ball) - 1, -1, -1, dtype=np.int64)
-    return np.asarray(ball, dtype=np.intp), place, table
+    position = {x: i for i, x in enumerate(ball)}
+    return ball, tuple(tuple(position[c] for c in children[x]) for x in ball)
 
 
 def _joint_cells(rule: BlockFactorRule, setup: _RegionSetup) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile the rule at both roots; the returned function maps rows of
-    label indices on the region to the flat (X_u, X_v) cell of each row."""
-    n_region = len(setup.region.vertices)
-    ball_u, place_u, table_u = _compile_ball(rule, n_region, setup.root_u, setup.children_u)
-    ball_v, place_v, table_v = _compile_ball(rule, n_region, setup.root_v, setup.children_v)
+    """The function that maps rows of label indices on the region to the
+    flat (X_u, X_v) cell of each row.
+
+    The balls at u and v have the same shape, so one evaluation of the rule
+    serves both roots.  The rule runs once for each distinct ball labeling
+    that occurs, and its outputs are kept across calls: a measurement builds
+    at most min(rows, |A|^|B_R|) canonical codes, whatever the ball size.
+    Past ``_KNOWN_LABELINGS`` kept outputs the store starts afresh, so large
+    balls, whose labelings seldom repeat, cost no more memory than small.
+    """
+    ball_u, shape = _ball(setup.root_u, setup.children_u)
+    ball_v, shape_v = _ball(setup.root_v, setup.children_v)
+    if shape_v != shape:
+        raise InvariantError("the radius-R balls at u and v differ in shape")
+    n_values = len(rule.input_values)
     m = len(rule.output_values)
+    out_index = {val: i for i, val in enumerate(rule.output_values)}
+    known: dict = {}  # labeling key -> index of the rule's output
+
+    # A labeling's key is its mixed-radix code where that fits in int64,
+    # and otherwise its row of label indices as raw bytes.
+    if n_values ** len(shape) <= np.iinfo(np.int64).max:
+        place = n_values ** np.arange(len(shape) - 1, -1, -1, dtype=np.int64)
+
+        def keys_of(labels: np.ndarray) -> np.ndarray:
+            return labels @ place
+
+    else:
+
+        def keys_of(labels: np.ndarray) -> np.ndarray:
+            labels = np.ascontiguousarray(labels)
+            return labels.view(np.dtype((np.void, labels.strides[0]))).ravel()
 
     def cells(rows: np.ndarray) -> np.ndarray:
-        return table_u[rows[:, ball_u] @ place_u] * m + table_v[rows[:, ball_v] @ place_v]
+        if len(known) > _KNOWN_LABELINGS:
+            known.clear()
+        labels = np.concatenate([rows[:, ball_u], rows[:, ball_v]])
+        keys, inverse = np.unique(keys_of(labels), return_inverse=True)
+        row_of = np.empty(len(keys), dtype=np.intp)
+        row_of[inverse] = np.arange(len(labels))
+        outputs = np.empty(len(keys), dtype=np.int64)
+        for j, key in enumerate(keys.tolist()):
+            out = known.get(key)
+            if out is None:
+                ball_labels = [rule.input_values[i] for i in labels[row_of[j]]]
+                out = known[key] = out_index[rule.fn(canonical_ball_code(ball_labels, 0, shape))]
+            outputs[j] = out
+        outputs = outputs[inverse]
+        return outputs[: len(rows)] * m + outputs[len(rows) :]
 
     return cells
 
@@ -811,6 +830,9 @@ class GaussianSignSpec:
             raise ValueError("eps must be positive")
         if self.truncation_radius < 1:
             raise ValueError("truncation radius must be >= 1")
+        tol = self.tail_tol
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tail_tol must be a positive finite number or None, got {tol}")
 
     def alpha(self, j: int) -> float:
         if j == 0:

@@ -232,6 +232,32 @@ class TestSweep:
         assert "raise the truncation radius" in err
         assert out == ""
 
+    @pytest.mark.parametrize("spec", ["1:x", "a", "", "1:0", "-1", "2,-3"])
+    def test_bad_distances_name_file_and_line(self, capsys, tmp_path, spec):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"process = majority\nd = 3\nk = {spec}\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert f"{cfg}:3: k must be distances >= 0 as n, lo:hi or n,m,..., got {spec!r}" in err
+        assert out == ""
+
+    def test_non_utf8_line_names_file_and_line(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes("process = majority\n# d\u00e9j\u00e0 vu\nd = 3\nk = 1\n".encode("latin-1"))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert f"{cfg}:2: not UTF-8 text" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tail_tol_must_be_positive_and_finite(self, capsys, tmp_path, tol):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"process = gaussian-sign\nd = 3\nk = 1\nmethod = exact\ntail_tol = {tol}\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert f"{cfg}:5: tail_tol must be a positive finite float, got {tol!r}" in err
+        assert out == ""
+
 
 _TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=40)
 _SWEEP_LINE = st.one_of(
@@ -261,6 +287,21 @@ class TestSweepConfigFuzz:
                 assert str(exc).startswith(f"{path}:")
             else:
                 assert isinstance(config, dict)
+                assert {"process", "d", "k"} <= set(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=200), prefix=st.lists(_SWEEP_LINE, max_size=4))
+    def test_any_bytes_give_a_dict_or_name_the_file(self, data, prefix):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sweep.cfg")
+            with open(path, "wb") as fh:
+                fh.write("\n".join(prefix + [""]).encode("utf-8") + data)
+            try:
+                config = _parse_sweep_config(path)
+            except ValueError as exc:
+                assert type(exc) is ValueError
+                assert str(exc).startswith(f"{path}:")
+            else:
                 assert {"process", "d", "k"} <= set(config)
 
 
@@ -318,6 +359,15 @@ class TestGaussian:
         )
         assert code == EXIT_USAGE
         assert "truncation radius" in err
+
+    def test_nan_truncation_tolerance_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "measure", "--process", "gaussian-sign", "--d", "3", "--k", "1",
+            "--method", "exact", "--tail-tol", "nan",
+        )
+        assert code == EXIT_USAGE
+        assert "tail_tol must be a positive finite number" in err
+        assert out == ""
 
 
 class TestSparse:

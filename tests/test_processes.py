@@ -332,6 +332,12 @@ class TestGaussianCov:
         with pytest.raises(ValueError):
             gaussian_cov(spec, 6)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_tail_tol_must_be_positive_and_finite(self, tol):
+        # nan used to skip the truncation check; a negative value blamed D.
+        with pytest.raises(ValueError, match="tail_tol must be a positive finite number"):
+            GaussianSignSpec(3, 0.25, 8, tail_tol=tol)
+
 
 def _common_prefix(a, b):
     n = 0

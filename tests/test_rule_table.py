@@ -1,14 +1,16 @@
-"""Block rules compiled to lookup tables against the loops they replaced.
+"""Block rules evaluated once per distinct ball labeling, against the loops
+they replaced.
 
 The reference builds the canonical code of both balls and calls the rule
 once per enumerated configuration or per sample, as ``exact_joint`` and
-``mc_joint`` did before the rule was compiled to a table over B_R.  Monte
-Carlo reads the same Philox draws, so the counts must be identical.  With
-uniform inputs every configuration weight is a power of two and every
-partial sum is exact, so the exact joints must agree bit for bit; other
-input laws sum the same weights in blocks, which moves only the last bits.
+``mc_joint`` did before.  Monte Carlo reads the same Philox draws, so the
+counts must be identical.  With uniform inputs every configuration weight
+is a power of two and every partial sum is exact, so the exact joints must
+agree bit for bit; other input laws sum the same weights in blocks, which
+moves only the last bits.
 """
 
+from dataclasses import replace
 from itertools import product as iproduct
 
 import numpy as np
@@ -21,6 +23,7 @@ from treefactor.processes import (
     DEFAULT_REGION_VERTEX_BUDGET,
     MC_CHUNK,
     BlockFactorRule,
+    _ball,
     _numeric_values,
     _two_ball_region,
     canonical_ball_code,
@@ -176,16 +179,63 @@ class TestExact:
         assert_same_measurement(exact_joint(rule, 3, 1), ref_exact_joint(rule, 3, 1))
 
 
-class TestTableGuard:
+class TestLargeBalls:
+    """Balls with more labelings than any table could hold: the rule runs
+    only on the labelings that the draws contain."""
+
     def wide_rule(self):
-        # d=7, R=3: a 302-vertex ball, 2^302 labelings.
+        # d=7, R=3: a 302-vertex ball, 2^302 labelings, keys as raw bytes.
         return BlockFactorRule("wide", 3, (0, 1), (0.5, 0.5), (0, 1), lambda code: code[0])
 
-    def test_mc_refuses_a_table_over_budget(self):
-        with pytest.raises(BudgetExceededError, match="302-vertex ball"):
-            mc_joint(self.wide_rule(), 7, 1, 10, seed=0)
+    @pytest.mark.parametrize("factory", [majority_rule, parity_rule])
+    def test_radius_one_at_d_24(self, factory):
+        # A 25-vertex ball: 2^25 labelings, more than DEFAULT_ENUM_BUDGET.
+        rule = factory(24)
+        assert 2**25 > DEFAULT_ENUM_BUDGET
+        new = mc_joint(rule, 24, 1, 300, 3)
+        assert_same_measurement(new, ref_mc_joint(rule, 24, 1, 300, 3))
 
-    def test_exact_refuses_a_table_over_budget_even_with_a_large_enumeration_budget(self):
-        match = f"over the budget of {DEFAULT_ENUM_BUDGET}"
-        with pytest.raises(BudgetExceededError, match=match):
-            exact_joint(self.wide_rule(), 7, 1, budget=2**1000)
+    def test_radius_two_at_d_5(self):
+        rule = depth_two_rule()
+        new = mc_joint(rule, 5, 2, 300, 4)
+        assert_same_measurement(new, ref_mc_joint(rule, 5, 2, 300, 4))
+
+    def test_keys_wider_than_int64(self):
+        rule = self.wide_rule()
+        new = mc_joint(rule, 7, 1, 40, 0)
+        assert_same_measurement(new, ref_mc_joint(rule, 7, 1, 40, 0))
+
+    def test_exact_still_refuses_an_enumeration_over_budget(self):
+        with pytest.raises(BudgetExceededError, match="label configurations exceed"):
+            exact_joint(majority_rule(24), 24, 1)
+
+
+def counting(rule):
+    """The rule with a list that records every labeling it is called on."""
+    calls = []
+
+    def fn(code):
+        calls.append(code)
+        return rule.fn(code)
+
+    return replace(rule, fn=fn), calls
+
+
+class TestEvaluationCount:
+    def test_mc_calls_the_rule_once_per_distinct_labeling(self):
+        rule, calls = counting(majority_rule(3))
+        mc_joint(rule, 3, 2, 25_000, 8)
+        assert len(calls) <= 2**4
+
+    def test_exact_calls_the_rule_once_per_labeling_of_the_ball(self):
+        rule, calls = counting(parity_rule(3))
+        exact_joint(rule, 3, 3)
+        assert len(calls) == 2**4
+
+    @pytest.mark.parametrize("d, radius, k", [(3, 1, 0), (3, 2, 1), (4, 2, 3), (5, 1, 6)])
+    def test_balls_at_u_and_v_have_one_shape(self, d, radius, k):
+        setup = _two_ball_region(d, radius, k, DEFAULT_REGION_VERTEX_BUDGET)
+        ball_u, shape_u = _ball(setup.root_u, setup.children_u)
+        ball_v, shape_v = _ball(setup.root_v, setup.children_v)
+        assert shape_u == shape_v
+        assert len(ball_u) == len(ball_v) == len(set(ball_u))
