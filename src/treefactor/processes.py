@@ -532,12 +532,34 @@ def tree_ball_graph(d: int, radius: int) -> FiniteGraphInstance:
 
 
 def short_cycle_count(G: FiniteGraphInstance, max_length: int = 6) -> int:
-    """Number of simple cycles of length at most ``max_length``."""
-    import networkx as nx
+    """Number of simple cycles of length at most ``max_length`` in the
+    simple graph ``G``.
 
-    graph = nx.Graph(G.edges())
-    graph.add_nodes_from(range(G.n))
-    return sum(1 for _ in nx.simple_cycles(graph, length_bound=max_length))
+    Each cycle is walked from its smallest vertex through larger vertices
+    only, once in each direction, by a depth-first search cut at
+    ``max_length`` vertices.
+    """
+    if max_length < 0:
+        raise ValueError(f"length bound must be non-negative, got {max_length}")
+    adjacency = G.adjacency
+    walks = 0
+    for root in range(G.n):
+        path = [root]
+        on_path = {root}
+        branches = [iter(adjacency[root])]
+        while branches:
+            for w in branches[-1]:
+                if w == root:
+                    walks += len(path) >= 3
+                elif w > root and w not in on_path and len(path) < max_length:
+                    path.append(w)
+                    on_path.add(w)
+                    branches.append(iter(adjacency[w]))
+                    break
+            else:
+                branches.pop()
+                on_path.discard(path.pop())
+    return walks // 2
 
 
 def _within_distance(
@@ -584,10 +606,38 @@ def check_sparse_set(
     return sep_ok, dom_ok
 
 
+def _balls(G: FiniteGraphInstance, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The closed ball of radius ``radius`` around every vertex, as CSR
+    arrays: ball v is ``indices[indptr[v]:indptr[v + 1]]`` and holds v."""
+    balls = [_within_distance(G.adjacency, [v], radius) for v in range(G.n)]
+    indptr = np.zeros(G.n + 1, dtype=np.intp)
+    np.cumsum([len(ball) for ball in balls], out=indptr[1:])
+    indices = np.fromiter(
+        (w for ball in balls for w in ball), dtype=np.intp, count=int(indptr[-1])
+    )
+    return indptr, indices
+
+
+def _marked_in_balls(marked: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Number of marked vertices in each ball (no ball is empty)."""
+    return np.add.reduceat(marked[indices], indptr[:-1], dtype=np.intp)
+
+
+def _restrict_balls(
+    indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The balls of the kept vertices, cut down to kept vertices and
+    renumbered in order."""
+    inside = np.repeat(keep, np.diff(indptr)) & keep[indices]
+    sizes = _marked_in_balls(keep, indptr, indices)[keep]
+    new_indptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=new_indptr[1:])
+    return new_indptr, (np.cumsum(keep) - 1)[indices[inside]]
+
+
 def _sparse_phase(
-    G: FiniteGraphInstance,
+    balls: tuple[np.ndarray, np.ndarray],
     undecided: np.ndarray,
-    separation: int,
     rng: np.random.Generator,
     round_cap: int,
 ) -> tuple[list[int], int]:
@@ -596,29 +646,29 @@ def _sparse_phase(
     Each round every undecided vertex proposes with probability 1/2 and the
     proposal sticks iff no other proposer sits within the separation
     distance; undecided vertices that then see a fixed vertex within that
-    distance drop out.  Returns the fixed vertices and the round count.
+    distance drop out.  ``balls`` are the separation-radius balls of
+    ``_balls``; the phase works on them cut down to the undecided vertices,
+    and cuts them again whenever vertices drop out.  Returns the fixed
+    vertices and the round count.
     """
-    undecided = undecided.copy()
+    vertices = np.flatnonzero(undecided)
+    indptr, indices = _restrict_balls(*balls, undecided)
     fixed_all: list[int] = []
     rounds = 0
-    while np.any(undecided):
+    while len(vertices):
         rounds += 1
         if rounds > round_cap:
             raise LocalAlgorithmError(
                 f"per-phase round cap {round_cap} exceeded; waiting times "
                 f"grow like 2^|B_L|, so large separations need a larger cap"
             )
-        candidates = np.flatnonzero(undecided)
-        proposers = candidates[rng.random(len(candidates)) < 0.5].tolist()
-        proposer_set = set(proposers)
-        fixed = []
-        for p in proposers:
-            near = _within_distance(G.adjacency, [p], separation)
-            if not any(w != p and w in proposer_set for w in near):
-                fixed.append(p)
-        if fixed:
-            undecided[list(_within_distance(G.adjacency, fixed, separation))] = False
-            fixed_all.extend(fixed)
+        proposing = rng.random(len(vertices)) < 0.5
+        sticks = proposing & (_marked_in_balls(proposing, indptr, indices) == 1)
+        if sticks.any():
+            fixed_all.extend(vertices[sticks].tolist())
+            keep = _marked_in_balls(sticks, indptr, indices) == 0
+            indptr, indices = _restrict_balls(indptr, indices, keep)
+            vertices = vertices[keep]
     return fixed_all, rounds
 
 
@@ -635,7 +685,9 @@ def sparse_set_labeling(
     if separation < 1:
         raise ValueError("separation must be >= 1")
     rng = np.random.default_rng(seed)
-    fixed, rounds = _sparse_phase(G, np.ones(G.n, dtype=bool), separation, rng, round_cap)
+    fixed, rounds = _sparse_phase(
+        _balls(G, separation), np.ones(G.n, dtype=bool), rng, round_cap
+    )
     labels = np.zeros(G.n, dtype=np.int64)
     labels[fixed] = 1
     sep_ok, dom_ok = check_sparse_set(G, labels.tolist(), separation)
@@ -675,6 +727,7 @@ def sparse_coloring(
     if separation < 1:
         raise ValueError("separation must be >= 1")
     rng = np.random.default_rng(seed)
+    balls = _balls(G, separation)
     colors = np.zeros(G.n, dtype=np.int64)
     max_colors = ball_size(G.d, separation)
     rounds_total = 0
@@ -685,7 +738,7 @@ def sparse_coloring(
             raise LocalAlgorithmError(
                 f"more than {max_colors} colors needed; dynamics are broken"
             )
-        fixed, rounds = _sparse_phase(G, colors == 0, separation, rng, round_cap)
+        fixed, rounds = _sparse_phase(balls, colors == 0, rng, round_cap)
         colors[fixed] = color
         rounds_total += rounds
     if not check_sparse_coloring(G, colors.tolist(), separation):

@@ -1,0 +1,243 @@
+"""The local-algorithm kernels against the slow oracles they replaced.
+
+``short_cycle_count`` is checked against networkx's bounded
+``simple_cycles``.  The sparse phase, which runs each round as array
+operations on precomputed balls, is checked against the per-proposer
+breadth-first search it replaced: labels, colors and round counts must be
+identical, because both consume the same draws.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from treefactor.errors import LocalAlgorithmError
+from treefactor.processes import (
+    DEFAULT_ROUND_CAP,
+    _balls,
+    _sparse_phase,
+    _within_distance,
+    random_regular_graph,
+    short_cycle_count,
+    sparse_coloring,
+    sparse_set_labeling,
+    tree_ball_graph,
+)
+
+MAX_BOUND = 7
+
+
+# ---------------------------------------------------------------------------
+# short_cycle_count against networkx
+# ---------------------------------------------------------------------------
+
+
+def nx_graph(G):
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph(G.edges())
+    graph.add_nodes_from(range(G.n))
+    return graph
+
+
+def nx_count(G, bound):
+    nx = pytest.importorskip("networkx")
+    return sum(1 for _ in nx.simple_cycles(nx_graph(G), length_bound=bound))
+
+
+def nx_counts_up_to(G, top):
+    """networkx's count at every bound 0..top from one enumeration: a
+    bounded ``simple_cycles`` yields exactly the cycles no longer than its
+    bound, so the count at b is the number of those of length <= b."""
+    nx = pytest.importorskip("networkx")
+    lengths = Counter(len(c) for c in nx.simple_cycles(nx_graph(G), length_bound=top))
+    return [sum(n for length, n in lengths.items() if length <= b) for b in range(top + 1)]
+
+
+CYCLE_GRAPHS = (
+    [(n, 3, seed) for n in (4, 10, 50, 200) for seed in (0, 1, 2)]
+    + [(n, 4, seed) for n in (5, 10, 50) for seed in (0, 1, 2)]
+    + [(200, 4, 0), (200, 4, 1), (1000, 3, 0)]
+)
+
+
+class TestShortCycleCount:
+    @pytest.mark.parametrize("n,d,seed", CYCLE_GRAPHS)
+    def test_matches_networkx_at_every_bound(self, n, d, seed):
+        G = random_regular_graph(n, d, seed)
+        expected = nx_counts_up_to(G, MAX_BOUND)
+        assert [short_cycle_count(G, b) for b in range(MAX_BOUND + 1)] == expected
+
+    @pytest.mark.parametrize("n,d,seed", [(4, 3, 0), (10, 3, 1), (5, 4, 2), (10, 4, 0)])
+    def test_matches_networkx_call_per_bound(self, n, d, seed):
+        G = random_regular_graph(n, d, seed)
+        for b in range(MAX_BOUND + 1):
+            assert short_cycle_count(G, b) == nx_count(G, b)
+
+    def test_complete_graph_on_four_vertices(self):
+        K4 = random_regular_graph(4, 3, seed=0)
+        assert sorted(K4.edges()) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert short_cycle_count(K4, 3) == 4
+        assert short_cycle_count(K4, 4) == 7
+        assert nx_count(K4, 3) == 4
+        assert nx_count(K4, 4) == 7
+
+    def test_tree_ball_has_no_cycles(self):
+        G = tree_ball_graph(3, 4)
+        for b in range(MAX_BOUND + 1):
+            assert short_cycle_count(G, b) == 0
+        assert nx_counts_up_to(G, MAX_BOUND) == [0] * (MAX_BOUND + 1)
+
+    def test_bounds_below_three_count_nothing(self):
+        G = random_regular_graph(10, 3, seed=3)
+        for b in (0, 1, 2):
+            assert short_cycle_count(G, b) == 0 == nx_count(G, b)
+
+    def test_negative_bound_rejected_like_networkx(self):
+        nx = pytest.importorskip("networkx")
+        G = random_regular_graph(10, 3, seed=3)
+        with pytest.raises(ValueError, match="non-negative"):
+            short_cycle_count(G, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            next(iter(nx.simple_cycles(nx_graph(G), length_bound=-1)))
+
+
+# ---------------------------------------------------------------------------
+# The sparse phase against the per-proposer search
+# ---------------------------------------------------------------------------
+
+
+def reference_phase(G, undecided, separation, rng, round_cap, balls):
+    """The per-proposer loop: one breadth-first search per proposer per
+    round.  ``balls`` memoizes each vertex's search so that the reference
+    runs in test time; the check made with it is unchanged."""
+
+    def ball(p):
+        if p not in balls:
+            balls[p] = _within_distance(G.adjacency, [p], separation)
+        return balls[p]
+
+    undecided = undecided.copy()
+    fixed_all = []
+    rounds = 0
+    while np.any(undecided):
+        rounds += 1
+        if rounds > round_cap:
+            raise LocalAlgorithmError(f"per-phase round cap {round_cap} exceeded")
+        candidates = np.flatnonzero(undecided)
+        proposers = candidates[rng.random(len(candidates)) < 0.5].tolist()
+        proposer_set = set(proposers)
+        fixed = []
+        for p in proposers:
+            if not any(w != p and w in proposer_set for w in ball(p)):
+                fixed.append(p)
+        if fixed:
+            undecided[list(_within_distance(G.adjacency, fixed, separation))] = False
+            fixed_all.extend(fixed)
+    return fixed_all, rounds
+
+
+def reference_sparse_set(G, separation, seed, round_cap=DEFAULT_ROUND_CAP):
+    rng = np.random.default_rng(seed)
+    fixed, rounds = reference_phase(G, np.ones(G.n, dtype=bool), separation, rng, round_cap, {})
+    labels = np.zeros(G.n, dtype=np.int64)
+    labels[fixed] = 1
+    return tuple(labels.tolist()), rounds
+
+
+def reference_coloring(G, separation, seed, round_cap=DEFAULT_ROUND_CAP):
+    rng = np.random.default_rng(seed)
+    balls = {}
+    colors = np.zeros(G.n, dtype=np.int64)
+    rounds_total = 0
+    color = 0
+    while np.any(colors == 0):
+        color += 1
+        fixed, rounds = reference_phase(G, colors == 0, separation, rng, round_cap, balls)
+        colors[fixed] = color
+        rounds_total += rounds
+    return tuple(colors.tolist()), rounds_total
+
+
+GRAPHS = {
+    "K4": lambda: random_regular_graph(4, 3, seed=0),
+    "rrg200": lambda: random_regular_graph(200, 3, seed=5),
+    "rrg1000": lambda: random_regular_graph(1000, 3, seed=6),
+    "tree_ball_3_6": lambda: tree_ball_graph(3, 6),
+}
+# At separation 3 on a random graph a phase runs thousands of rounds, so
+# the reference takes seconds per seed there: fewer seeds on the smaller
+# random graph, and none on the larger.
+PHASE_CASES = (
+    [(g, L, 20) for g in ("K4", "tree_ball_3_6") for L in (1, 2, 3)]
+    + [(g, L, 20) for g in ("rrg200", "rrg1000") for L in (1, 2)]
+    + [("rrg200", 3, 2)]
+)
+
+
+class TestSparsePhase:
+    @pytest.mark.parametrize("graph,L,n_seeds", PHASE_CASES)
+    def test_matches_per_proposer_search(self, graph, L, n_seeds):
+        G = GRAPHS[graph]()
+        for seed in range(n_seeds):
+            labeling = sparse_set_labeling(G, L, seed)
+            assert (labeling.labels, labeling.rounds) == reference_sparse_set(G, L, seed)
+            coloring = sparse_coloring(G, L, seed)
+            assert (coloring.colors, coloring.rounds) == reference_coloring(G, L, seed)
+
+    @pytest.mark.parametrize("graph", ["rrg200", "tree_ball_3_6"])
+    @pytest.mark.parametrize("round_cap", [1, 2, 3, 5])
+    def test_round_cap_hits_on_the_same_round(self, graph, round_cap):
+        G = GRAPHS[graph]()
+        undecided = np.ones(G.n, dtype=bool)
+        rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+        with pytest.raises(LocalAlgorithmError, match="round cap"):
+            _sparse_phase(_balls(G, 3), undecided, rng, round_cap)
+        with pytest.raises(LocalAlgorithmError, match="round cap"):
+            reference_phase(G, undecided, 3, reference_rng, round_cap, {})
+        # the same draws were consumed, so both stopped after the same round
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("round_cap", [1, 3, 10, 30])
+    def test_round_cap_agrees_with_reference(self, round_cap):
+        G = GRAPHS["rrg200"]()
+        for seed in range(5):
+            try:
+                expected = reference_coloring(G, 2, seed, round_cap)
+            except LocalAlgorithmError:
+                with pytest.raises(LocalAlgorithmError, match="round cap"):
+                    sparse_coloring(G, 2, seed, round_cap=round_cap)
+            else:
+                coloring = sparse_coloring(G, 2, seed, round_cap=round_cap)
+                assert (coloring.colors, coloring.rounds) == expected
+
+    def test_balls_are_closed_and_symmetric(self):
+        G = GRAPHS["tree_ball_3_6"]()
+        indptr, indices = _balls(G, 2)
+        balls = [set(indices[indptr[v]:indptr[v + 1]].tolist()) for v in range(G.n)]
+        for v, ball in enumerate(balls):
+            assert ball == _within_distance(G.adjacency, [v], 2)
+            assert all(v in balls[w] for w in ball)
+
+
+def test_sparse_cli_does_not_load_networkx():
+    script = (
+        "import json, sys\n"
+        "from treefactor.cli import main\n"
+        "code = main(['sparse', '--n', '200', '--d', '3', '--L', '2', '--seed', '1'])\n"
+        "print(json.dumps([code, 'networkx' in sys.modules]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    code, networkx_loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert not networkx_loaded
