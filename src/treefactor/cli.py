@@ -1,9 +1,10 @@
 """Command-line interface: reproducible construction, measurement, and
 bound-verdict runs with machine-readable output.
 
-Exit status: 0 when every verdict passes, 2 when a verdict fails, 1 for
-usage or runtime errors.  Any command with an explicit seed produces
-byte-identical output across reruns and worker counts.
+Exit status: 0 when every verdict passes, 2 when a verdict fails or a
+verifier runs out of budget before finishing, 1 for usage or runtime
+errors.  Any command with an explicit seed produces byte-identical
+output across reruns and worker counts.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def cmd_generators(args) -> int:
         f"free-claim {report}",
     ]
     _emit([row], lines, list(row.keys()), args)
-    return EXIT_OK if report.passed else EXIT_VERDICT_FAILED
+    return EXIT_OK if report.passed and report.complete else EXIT_VERDICT_FAILED
 
 
 def cmd_factorization(args) -> int:
@@ -141,7 +142,7 @@ def cmd_factorization(args) -> int:
     }
     lines = [f"factorization d={args.d} k={args.k} L={args.L}: {report}"]
     _emit([row], lines, list(row.keys()), args)
-    return EXIT_OK if report.passed else EXIT_VERDICT_FAILED
+    return EXIT_OK if report.passed and report.complete else EXIT_VERDICT_FAILED
 
 
 def _measurement_row(pm, verdicts) -> dict:
@@ -495,7 +496,7 @@ def build_parser() -> _Parser:
         "--threads",
         type=int,
         default=1,
-        help="worker cap; results are independent of this value",
+        help="accepted for compatibility and has no effect; runs are single-threaded",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,6 +48,7 @@ DEFAULT_ENUM_BUDGET = 2**24
 DEFAULT_REGION_VERTEX_BUDGET = 60_000
 DEFAULT_ROUND_CAP = 10_000
 MC_CHUNK = 10_000
+_PAIRING_ATTEMPTS = 5000  # stub pairings tried before random_regular_graph gives up
 _ENUM_BLOCK = 4096  # configurations per block of exact enumeration; bounds its memory
 _KNOWN_LABELINGS = 1 << 16  # ball labelings whose rule output is kept; bounds that memory
 
@@ -66,8 +66,8 @@ class BlockFactorRule:
     ``(root_label, sorted_child_codes)`` built recursively, so any two
     label patterns related by a root-preserving automorphism give the
     same code and therefore the same output.  ``fn`` is called once per
-    labeling of the ball, zero-probability labels included, when the
-    rule is compiled to a table, so it must be a pure function of the code.
+    distinct ball labeling that a measurement meets, so it must be a pure
+    function of the code.
     """
 
     name: str
@@ -258,66 +258,34 @@ def measurement_from_joint(
     )
 
 
-@dataclass(frozen=True)
-class _RegionSetup:
-    region: BallRegion
-    children_u: tuple[tuple[int, ...], ...]
-    children_v: tuple[tuple[int, ...], ...]
-    root_u: int
-    root_v: int
-
-
-def _rooted_children(
-    region: BallRegion, root: int, radius: int, neighbors: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    children: list[tuple[int, ...]] = [() for _ in region.vertices]
-    depth = {root: 0}
-    frontier = [root]
-    for level in range(radius):
-        nxt = []
-        for x in frontier:
-            kids = tuple(
-                nb for nb in neighbors[x] if nb not in depth
-            )
-            children[x] = kids
-            for nb in kids:
-                depth[nb] = level + 1
-                nxt.append(nb)
-        frontier = nxt
-    return tuple(children)
-
-
-def _two_ball_region(d: int, radius: int, k: int, budget_vertices: int) -> _RegionSetup:
+def _two_balls(d: int, radius: int, k: int) -> tuple[BallRegion, list[int], list[int], tuple]:
+    """The union of the radius-``radius`` balls at u and v = k steps from u,
+    each ball as region indices breadth-first from its root, and the balls'
+    common shape: the children of each position, as positions in the ball."""
     u = origin(d)
     v = vertex_at_distance(u, k)
-    region = region_from_balls([(u, radius), (v, radius)], budget=budget_vertices)
-    neighbors: list[list[int]] = [[] for _ in region.vertices]
-    for a, b in region.adjacency:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    neighbors_t = tuple(tuple(sorted(ns)) for ns in neighbors)
-    root_u = region.index_of(u)
-    root_v = region.index_of(v)
-    return _RegionSetup(
-        region=region,
-        children_u=_rooted_children(region, root_u, radius, neighbors_t),
-        children_v=_rooted_children(region, root_v, radius, neighbors_t),
-        root_u=root_u,
-        root_v=root_v,
-    )
+    region = region_from_balls([(u, radius), (v, radius)], budget=DEFAULT_REGION_VERTEX_BUDGET)
+    walks = []
+    for root in (region.index_of(u), region.index_of(v)):
+        ball, parent, depth, shape = [root], [-1], [0], []
+        for i, x in enumerate(ball):  # the list grows while it is read: breadth-first
+            kids = []
+            if depth[i] < radius:
+                kids = [nb for nb in region.neighbors[x] if nb != parent[i]]
+            shape.append(tuple(range(len(ball), len(ball) + len(kids))))
+            ball.extend(kids)
+            parent.extend([x] * len(kids))
+            depth.extend([depth[i] + 1] * len(kids))
+        walks.append((ball, tuple(shape)))
+    (ball_u, shape), (ball_v, shape_v) = walks
+    if shape_v != shape:
+        raise InvariantError("the radius-R balls at u and v differ in shape")
+    return region, ball_u, ball_v, shape
 
 
-def _ball(root: int, children: Sequence[tuple[int, ...]]) -> tuple[list[int], tuple]:
-    """The ball's region indices breadth-first from the root, and its shape:
-    the children of each position, as positions in that list."""
-    ball = [root]
-    for x in ball:  # the list grows while it is read: breadth-first
-        ball.extend(children[x])
-    position = {x: i for i, x in enumerate(ball)}
-    return ball, tuple(tuple(position[c] for c in children[x]) for x in ball)
-
-
-def _joint_cells(rule: BlockFactorRule, setup: _RegionSetup) -> Callable[[np.ndarray], np.ndarray]:
+def _joint_cells(
+    rule: BlockFactorRule, ball_u: Sequence[int], ball_v: Sequence[int], shape: tuple
+) -> Callable[[np.ndarray], np.ndarray]:
     """The function that maps rows of label indices on the region to the
     flat (X_u, X_v) cell of each row.
 
@@ -328,10 +296,6 @@ def _joint_cells(rule: BlockFactorRule, setup: _RegionSetup) -> Callable[[np.nda
     Past ``_KNOWN_LABELINGS`` kept outputs the store starts afresh, so large
     balls, whose labelings seldom repeat, cost no more memory than small.
     """
-    ball_u, shape = _ball(setup.root_u, setup.children_u)
-    ball_v, shape_v = _ball(setup.root_v, setup.children_v)
-    if shape_v != shape:
-        raise InvariantError("the radius-R balls at u and v differ in shape")
     n_values = len(rule.input_values)
     m = len(rule.output_values)
     out_index = {val: i for i, val in enumerate(rule.output_values)}
@@ -381,8 +345,8 @@ def exact_joint(
     all label configurations on the union of the two radius-R balls."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    setup = _two_ball_region(d, rule.radius, k, DEFAULT_REGION_VERTEX_BUDGET)
-    n_vertices = len(setup.region.vertices)
+    region, *balls = _two_balls(d, rule.radius, k)
+    n_vertices = len(region.vertices)
     n_values = len(rule.input_values)
     total = n_values**n_vertices
     if total > budget:
@@ -390,14 +354,14 @@ def exact_joint(
             f"{total} label configurations exceed the budget of {budget}; "
             "use mc_joint for a sampled estimate"
         )
-    cells = _joint_cells(rule, setup)
+    cells = _joint_cells(rule, *balls)
     m = len(rule.output_values)
     probs = np.asarray(rule.input_probs, dtype=float)
     place = n_values ** np.arange(n_vertices - 1, -1, -1, dtype=np.int64)
     joint = np.zeros(m * m, dtype=float)
     for start in range(0, total, _ENUM_BLOCK):
         codes = np.arange(start, min(start + _ENUM_BLOCK, total), dtype=np.int64)
-        digits = codes[:, None] // place % n_values  # configurations in iproduct order
+        digits = codes[:, None] // place % n_values  # in itertools.product order
         weights = np.prod(probs[digits], axis=1)
         joint += np.bincount(cells(digits), weights=weights, minlength=m * m)
     joint = joint.reshape(m, m)
@@ -429,9 +393,9 @@ def mc_joint(
     the union region from a counter-based stream keyed by the seed."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    setup = _two_ball_region(d, rule.radius, k, DEFAULT_REGION_VERTEX_BUDGET)
-    n_vertices = len(setup.region.vertices)
-    cells = _joint_cells(rule, setup)
+    region, *balls = _two_balls(d, rule.radius, k)
+    n_vertices = len(region.vertices)
+    cells = _joint_cells(rule, *balls)
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = len(rule.output_values)
     counts = np.zeros(m * m, dtype=np.int64)
@@ -466,16 +430,24 @@ class FiniteGraphInstance:
     def __post_init__(self):
         if len(self.adjacency) != self.n:
             raise ValueError("adjacency length does not match vertex count")
+        degrees = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.n)
+        tails = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
+        heads = np.fromiter(
+            (w for nbrs in self.adjacency for w in nbrs), dtype=np.int64, count=len(tails)
+        )
+        if np.any((heads < 0) | (heads >= self.n)):
+            raise ValueError("adjacency names a vertex outside 0..n-1")
+        if np.any(heads == tails):
+            raise ValueError("adjacency has a self-loop")
+        edges = np.sort(tails * self.n + heads)
+        if np.any(edges[1:] == edges[:-1]):
+            raise ValueError("adjacency repeats a neighbour")
+        if not np.array_equal(edges, np.sort(heads * self.n + tails)):
+            raise ValueError("adjacency has a one-sided edge")
 
     @property
     def is_regular(self) -> bool:
         return all(len(nbrs) == self.d for nbrs in self.adjacency)
-
-    def degree_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for nbrs in self.adjacency:
-            hist[len(nbrs)] = hist.get(len(nbrs), 0) + 1
-        return hist
 
     def edges(self) -> list[tuple[int, int]]:
         return [
@@ -486,9 +458,7 @@ class FiniteGraphInstance:
         ]
 
 
-def random_regular_graph(
-    n: int, d: int, seed: int, max_attempts: int = 5000
-) -> FiniteGraphInstance:
+def random_regular_graph(n: int, d: int, seed: int) -> FiniteGraphInstance:
     """Uniform pairing of stubs, resampled until the result is simple."""
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
@@ -496,7 +466,7 @@ def random_regular_graph(
         raise ValueError(f"need n > d, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_attempts):
+    for _ in range(_PAIRING_ATTEMPTS):
         perm = rng.permutation(stubs)
         a = perm[0::2]
         b = perm[1::2]
@@ -515,20 +485,14 @@ def random_regular_graph(
             n, d, tuple(tuple(sorted(ns)) for ns in adjacency), seed
         )
     raise LocalAlgorithmError(
-        f"no simple d-regular pairing found in {max_attempts} attempts"
+        f"no simple d-regular pairing found in {_PAIRING_ATTEMPTS} attempts"
     )
 
 
 def tree_ball_graph(d: int, radius: int) -> FiniteGraphInstance:
     """The ball of the d-regular tree as a finite graph (leaves included)."""
     region = region_from_balls([(origin(d), radius)])
-    adjacency: list[list[int]] = [[] for _ in region.vertices]
-    for a, b in region.adjacency:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    return FiniteGraphInstance(
-        len(region.vertices), d, tuple(tuple(sorted(ns)) for ns in adjacency), None
-    )
+    return FiniteGraphInstance(len(region.vertices), d, region.neighbors, None)
 
 
 def short_cycle_count(G: FiniteGraphInstance, max_length: int = 6) -> int:
@@ -1021,7 +985,6 @@ def gaussian_sign_measure(
     k: int,
     samples: int,
     seed: Optional[int] = None,
-    region_budget: int = DEFAULT_REGION_VERTEX_BUDGET,
 ) -> ProcessMeasurement:
     """Measurement of the sign process at distance k.
 
@@ -1063,7 +1026,7 @@ def gaussian_sign_measure(
     D = spec.truncation_radius
     u = origin(spec.d)
     v = vertex_at_distance(u, k)
-    region = region_from_balls([(u, D), (v, D)], budget=region_budget)
+    region = region_from_balls([(u, D), (v, D)], budget=DEFAULT_REGION_VERTEX_BUDGET)
     w_u = np.empty(len(region.vertices))
     w_v = np.empty(len(region.vertices))
     for i, w in enumerate(region.vertices):

@@ -12,10 +12,12 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, InvariantError
 from .words import (
+    FreeProductSignature,
     Word,
+    _ball_words,
+    _multiply_raw,
     inverse,
     multiply,
-    signature_for_degree,
     word_to_str,
 )
 
@@ -44,7 +46,7 @@ class TreeVertex:
 
 
 def origin(d: int) -> TreeVertex:
-    return TreeVertex(Word.identity(signature_for_degree(d, "involutions")))
+    return TreeVertex(Word.identity(FreeProductSignature(0, d)))
 
 
 def vertex_at_distance(start: TreeVertex, k: int) -> TreeVertex:
@@ -70,7 +72,8 @@ def dist(u: TreeVertex, v: TreeVertex) -> int:
 
 @dataclass(frozen=True)
 class BallRegion:
-    """A union of balls, stored as explicit vertices plus tree edges."""
+    """A union of balls, stored as explicit vertices plus tree edges;
+    ``neighbors[i]`` lists the neighbours of vertex i in increasing order."""
 
     vertices: tuple[TreeVertex, ...]
     adjacency: tuple[tuple[int, int], ...]
@@ -83,6 +86,11 @@ class BallRegion:
         object.__setattr__(
             self, "_index", {v.address.letters: i for i, v in enumerate(self.vertices)}
         )
+        neighbors: list[list[int]] = [[] for _ in self.vertices]
+        for a, b in self.adjacency:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        object.__setattr__(self, "neighbors", tuple(tuple(sorted(ns)) for ns in neighbors))
 
     def __contains__(self, v: TreeVertex) -> bool:
         return v.address.letters in self._index
@@ -95,24 +103,6 @@ class BallRegion:
             "centers": [[word_to_str(c.address), r] for c, r in self.centers],
         }
         return json.dumps(payload, sort_keys=True)
-
-
-def _ball_addresses(center: Word, radius: int) -> set[tuple[int, ...]]:
-    sig = center.sig
-    r = sig.r
-    seen = {center.letters}
-    frontier = [center.letters]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for x in sig.alphabet():
-                inv = -x if abs(x) <= r else x
-                nb = w[:-1] if (w and w[-1] == inv) else w + (x,)
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return seen
 
 
 def region_from_balls(
@@ -132,17 +122,16 @@ def region_from_balls(
     for center, radius in centers:
         if center.address.sig != sig:
             raise ValueError("centers live in trees with different signatures")
-        addresses |= _ball_addresses(center.address, radius)
+        addresses.update(_ball_words(sig, radius, center.address.letters))
     ordered = sorted(addresses, key=lambda w: Word(w, sig).sort_key())
     index = {w: i for i, w in enumerate(ordered)}
     edges = []
-    r = sig.r
-    for w in ordered:
-        for x in sig.alphabet():
-            inv = -x if abs(x) <= r else x
-            nb = w[:-1] if (w and w[-1] == inv) else w + (x,)
-            if nb in index and index[w] < index[nb]:
-                edges.append((index[w], index[nb]))
+    alphabet = sig.alphabet()
+    for i, w in enumerate(ordered):
+        for x in alphabet:
+            j = index.get(_multiply_raw(w, (x,), sig.r))
+            if j is not None and i < j:
+                edges.append((i, j))
     vertices = tuple(TreeVertex(Word(w, sig)) for w in ordered)
     return BallRegion(vertices, tuple(sorted(edges)), tuple(centers))
 
@@ -205,9 +194,9 @@ def ball_intersection_size(
         return _intersection_size_formula(d, radius, k)
     u = origin(d)
     v = vertex_at_distance(u, k)
-    a = _ball_addresses(u.address, radius)
-    b = _ball_addresses(v.address, radius)
-    size = len(a & b)
+    sig = u.address.sig
+    a = set(_ball_words(sig, radius, u.address.letters))
+    size = len(a.intersection(_ball_words(sig, radius, v.address.letters)))
     formula = _intersection_size_formula(d, radius, k)
     if size != formula:
         raise InvariantError(

@@ -60,21 +60,6 @@ class FreeProductSignature:
             raise ValueError(f"letter {letter}: order-2 generators carry no inverse sign")
 
 
-def signature_for_degree(d: int, parity: str = "auto") -> FreeProductSignature:
-    """A convenient signature whose Cayley graph is the d-regular tree.
-
-    ``parity="involutions"`` forces the all-Z2 form used for tree
-    addressing; ``"auto"`` picks Z factors when d is even.
-    """
-    if d < 3:
-        raise ValueError(f"degree must be >= 3, got {d}")
-    if parity == "involutions":
-        return FreeProductSignature(0, d)
-    if parity == "auto":
-        return FreeProductSignature(d // 2, d % 2)
-    raise ValueError(f"unknown parity selector {parity!r}")
-
-
 @dataclass(frozen=True)
 class Letter:
     """A single generator or inverse generator."""
@@ -117,6 +102,29 @@ def _multiply_raw(a: Sequence[int], b: Sequence[int], r: int) -> tuple[int, ...]
 
 def _inverse_raw(letters: Sequence[int], r: int) -> tuple[int, ...]:
     return tuple(-x if abs(x) <= r else x for x in reversed(letters))
+
+
+def _ball_words(
+    sig: FreeProductSignature, radius: int, center: tuple[int, ...] = ()
+) -> list[tuple[int, ...]]:
+    """The reduced words within ``radius`` of ``center``, breadth-first:
+    each word's neighbours one step further out follow in alphabet order."""
+    r = sig.r
+    steps = [(x, -x if abs(x) <= r else x) for x in sig.alphabet()]
+    words = [center]
+    back = [0]  # the letter stepping from each word towards the center
+    start = 0
+    for _ in range(radius):
+        end = len(words)
+        for i in range(start, end):
+            w = words[i]
+            for x, inv in steps:
+                if x == back[i]:
+                    continue
+                words.append(w[:-1] if w and w[-1] == inv else w + (x,))
+                back.append(inv)
+        start = end
+    return words
 
 
 @dataclass(frozen=True)
@@ -275,21 +283,11 @@ def _all_palindromes(sig: FreeProductSignature, k: int) -> list[Word]:
     # Palindromes b1..bl b_{l+1} bl..b1 of length k = 2l+1 with no
     # cancelling adjacent pair; mirroring preserves reducedness.
     l = k // 2
-    alphabet = sig.alphabet()
-    half_words: list[tuple[int, ...]] = [()]
-    for _ in range(l + 1):
-        extended = []
-        for w in half_words:
-            for x in alphabet:
-                if w and sig.letter_inverse(w[-1]) == x:
-                    continue
-                extended.append(w + (x,))
-        half_words = extended
-    out = []
-    for half in half_words:
-        letters = half + half[-2::-1]
-        out.append(Word(letters, sig))
-    return out
+    return [
+        Word(half + half[-2::-1], sig)
+        for half in _ball_words(sig, l + 1)
+        if len(half) == l + 1
+    ]
 
 
 def _nested_even_words(sig: FreeProductSignature, k: int) -> list[Word]:
@@ -299,14 +297,7 @@ def _nested_even_words(sig: FreeProductSignature, k: int) -> list[Word]:
     # over the d-1 length-2 seeds.
     d = sig.degree
     l = k // 2
-    suffixes: list[tuple[int, ...]] = [(1,)]
-    for _ in range(l - 1):
-        extended = []
-        for w in suffixes:
-            for x in range(1, d + 1):
-                if x != w[-1]:
-                    extended.append(w + (x,))
-        suffixes = extended
+    suffixes = [b for b in _ball_words(sig, l) if len(b) == l and b[0] == 1]
     out = []
     for j in range(1, d):
         for b in suffixes:
@@ -474,22 +465,6 @@ def verify_free_claim(
     )
 
 
-def _elements_up_to_length(sig: FreeProductSignature, max_len: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    alphabet = sig.alphabet()
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for x in alphabet:
-                if w and sig.letter_inverse(w[-1]) == x:
-                    continue
-                nxt.append(w + (x,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def decode_factorizations(
     g: Word, palindromes: Sequence[Word], l: int
 ) -> list[tuple[tuple[Word, ...], Word]]:
@@ -504,7 +479,7 @@ def decode_factorizations(
     r = sig.r
     palindrome_set = {w.letters for w in palindromes}
     results = []
-    for t_letters in _elements_up_to_length(sig, l):
+    for t_letters in _ball_words(sig, l):
         t = Word(t_letters, sig)
         p = _multiply_raw(g.letters, _inverse_raw(t_letters, r), r)
         factors: list[Word] = []
@@ -555,10 +530,8 @@ def verify_coset_factorization(
     pal_inverse_index = {
         w: pal_letters.index(_inverse_raw(w, sig.r)) for w in pal_letters
     }
-    remainders = _elements_up_to_length(sig, l)
-
-    targets = {w for w in _elements_up_to_length(sig, max_length)}
-    found: dict[tuple[int, ...], list] = {w: [] for w in targets}
+    remainders = _ball_words(sig, l)
+    found: dict[tuple[int, ...], list] = {w: [] for w in _ball_words(sig, max_length)}
 
     n_cap = max(0, max_length - l)
     checked = 0

@@ -38,6 +38,13 @@ class TestGenerators:
         assert code == EXIT_OK
         assert "rank 2" in out
 
+    def test_out_of_budget_is_a_failed_verdict(self, capsys):
+        code, out, _ = run(
+            capsys, "generators", "--d", "5", "--k", "5", "--nmax", "3", "--budget", "10"
+        )
+        assert code == EXIT_VERDICT_FAILED
+        assert "INCOMPLETE" in out
+
     def test_odd_d_k1_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generators", "--d", "3", "--k", "1")
         assert code == EXIT_USAGE
@@ -65,6 +72,13 @@ class TestFactorization:
         code, out, _ = run(capsys, "factorization", "--d", "4", "--k", "3", "--L", "3")
         assert code == EXIT_OK
         assert "PASS" in out
+
+    def test_out_of_budget_is_a_failed_verdict(self, capsys):
+        code, out, _ = run(
+            capsys, "factorization", "--d", "4", "--k", "3", "--L", "3", "--budget", "10"
+        )
+        assert code == EXIT_VERDICT_FAILED
+        assert "INCOMPLETE" in out
 
     def test_odd_d_rejected(self, capsys):
         code, _, err = run(capsys, "factorization", "--d", "3", "--k", "3", "--L", "2")
@@ -309,7 +323,7 @@ class TestBudgetEnvVar:
     def test_env_var_supplies_default_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("TREEFACTOR_BUDGET", "50")
         code, out, _ = run(capsys, "generators", "--d", "3", "--k", "3", "--nmax", "4")
-        assert code == EXIT_OK
+        assert code == EXIT_VERDICT_FAILED
         assert "INCOMPLETE" in out
 
     def test_env_var_must_be_integer(self, capsys, monkeypatch):

@@ -19,6 +19,7 @@ import pytest
 from treefactor.errors import LocalAlgorithmError
 from treefactor.processes import (
     DEFAULT_ROUND_CAP,
+    FiniteGraphInstance,
     _balls,
     _sparse_phase,
     _within_distance,
@@ -63,6 +64,29 @@ CYCLE_GRAPHS = (
     + [(n, 4, seed) for n in (5, 10, 50) for seed in (0, 1, 2)]
     + [(200, 4, 0), (200, 4, 1), (1000, 3, 0)]
 )
+
+
+class TestGraphValidation:
+    def test_triangle_with_a_doubled_edge_is_rejected(self):
+        with pytest.raises(ValueError, match="repeats a neighbour"):
+            FiniteGraphInstance(3, 2, ((1, 1, 2), (0, 0, 2), (0, 1)))
+
+    def test_one_sided_edge_is_rejected(self):
+        with pytest.raises(ValueError, match="one-sided edge"):
+            FiniteGraphInstance(3, 2, ((1, 2), (0, 2), (1,)))
+
+    def test_self_loop_is_rejected(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            FiniteGraphInstance(3, 2, ((0, 1, 2), (0, 2), (0, 1)))
+
+    def test_vertex_out_of_range_is_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            FiniteGraphInstance(3, 2, ((1, 3), (0, 2), (1,)))
+
+    def test_simple_graphs_pass(self):
+        assert short_cycle_count(FiniteGraphInstance(3, 2, ((1, 2), (0, 2), (0, 1))), 3) == 1
+        assert FiniteGraphInstance(0, 3, ()).n == 0
+        assert random_regular_graph(200, 3, 1).is_regular
 
 
 class TestShortCycleCount:

@@ -29,7 +29,8 @@ from treefactor.processes import (
     sparse_set_labeling,
     tree_ball_graph,
 )
-from treefactor.tree import _ball_addresses, ball_size, origin, vertex_at_distance
+from treefactor.tree import ball_size, origin, vertex_at_distance
+from treefactor.words import _ball_words
 
 # frozen: independent nested-loop enumeration over the 2^|region| binary
 # configurations around a distance-k pair in the 3-regular tree
@@ -298,9 +299,9 @@ class TestGaussianCov:
         spec = GaussianSignSpec(3, 0.25, 9, tail_tol=None)
         u = origin(3)
         v = vertex_at_distance(u, k)
-        ball_u = _ball_addresses(u.address, 9)
-        ball_v = _ball_addresses(v.address, 9)
         sig = u.address.sig
+        ball_u = set(_ball_words(sig, 9, u.address.letters))
+        ball_v = set(_ball_words(sig, 9, v.address.letters))
         total = 0.0
         for w in ball_u & ball_v:
             du = len(w)

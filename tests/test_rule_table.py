@@ -1,7 +1,8 @@
 """Block rules evaluated once per distinct ball labeling, against the loops
 they replaced.
 
-The reference builds the canonical code of both balls and calls the rule
+The reference derives the rooted children of both balls from the region's
+edge list, builds the canonical code of both balls and calls the rule
 once per enumerated configuration or per sample, as ``exact_joint`` and
 ``mc_joint`` did before.  Monte Carlo reads the same Philox draws, so the
 counts must be identical.  With uniform inputs every configuration weight
@@ -16,16 +17,16 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from treefactor.errors import BudgetExceededError
+from treefactor import processes
+from treefactor.errors import BudgetExceededError, InvariantError
 from treefactor.information import JointDistribution, joint_from_counts
 from treefactor.processes import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_REGION_VERTEX_BUDGET,
     MC_CHUNK,
     BlockFactorRule,
-    _ball,
     _numeric_values,
-    _two_ball_region,
+    _two_balls,
     canonical_ball_code,
     exact_joint,
     identity_rule,
@@ -34,13 +35,61 @@ from treefactor.processes import (
     measurement_from_joint,
     parity_rule,
 )
+from treefactor.tree import origin, region_from_balls, vertex_at_distance
 
 UNIFORM_RULES = [identity_rule, majority_rule, parity_rule]
 
 
+def rooted_children(adjacency, n_vertices, root, radius):
+    """Children of each vertex in the radius-``radius`` ball hung from
+    ``root``, found level by level from the edge list; () elsewhere."""
+    neighbors = [[] for _ in range(n_vertices)]
+    for a, b in adjacency:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    children = [() for _ in range(n_vertices)]
+    depth = {root: 0}
+    frontier = [root]
+    for level in range(radius):
+        nxt = []
+        for x in frontier:
+            kids = tuple(nb for nb in sorted(neighbors[x]) if nb not in depth)
+            children[x] = kids
+            for nb in kids:
+                depth[nb] = level + 1
+                nxt.append(nb)
+        frontier = nxt
+    return tuple(children)
+
+
+class RefSetup:
+    """The union region of the two balls with each ball's rooted children."""
+
+    def __init__(self, d, radius, k):
+        u = origin(d)
+        v = vertex_at_distance(u, k)
+        self.region = region_from_balls(
+            [(u, radius), (v, radius)], budget=DEFAULT_REGION_VERTEX_BUDGET
+        )
+        n = len(self.region.vertices)
+        self.root_u = self.region.index_of(u)
+        self.root_v = self.region.index_of(v)
+        self.children_u = rooted_children(self.region.adjacency, n, self.root_u, radius)
+        self.children_v = rooted_children(self.region.adjacency, n, self.root_v, radius)
+
+
+def ref_ball(root, children):
+    """The ball breadth-first from the root, and its shape as positions."""
+    ball = [root]
+    for x in ball:
+        ball.extend(children[x])
+    position = {x: i for i, x in enumerate(ball)}
+    return ball, tuple(tuple(position[c] for c in children[x]) for x in ball)
+
+
 def ref_exact_joint(rule, d, k):
     """The per-configuration loop: product weight, two canonical codes."""
-    setup = _two_ball_region(d, rule.radius, k, DEFAULT_REGION_VERTEX_BUDGET)
+    setup = RefSetup(d, rule.radius, k)
     n_vertices = len(setup.region.vertices)
     out_index = {val: i for i, val in enumerate(rule.output_values)}
     m = len(rule.output_values)
@@ -64,7 +113,7 @@ def ref_exact_joint(rule, d, k):
 
 def ref_mc_joint(rule, d, k, samples, seed):
     """The per-sample loop over the same Philox draws as ``mc_joint``."""
-    setup = _two_ball_region(d, rule.radius, k, DEFAULT_REGION_VERTEX_BUDGET)
+    setup = RefSetup(d, rule.radius, k)
     n_vertices = len(setup.region.vertices)
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = len(rule.output_values)
@@ -234,8 +283,18 @@ class TestEvaluationCount:
 
     @pytest.mark.parametrize("d, radius, k", [(3, 1, 0), (3, 2, 1), (4, 2, 3), (5, 1, 6)])
     def test_balls_at_u_and_v_have_one_shape(self, d, radius, k):
-        setup = _two_ball_region(d, radius, k, DEFAULT_REGION_VERTEX_BUDGET)
-        ball_u, shape_u = _ball(setup.root_u, setup.children_u)
-        ball_v, shape_v = _ball(setup.root_v, setup.children_v)
-        assert shape_u == shape_v
+        region, ball_u, ball_v, shape = _two_balls(d, radius, k)
+        ref = RefSetup(d, radius, k)
+        assert region == ref.region
+        assert (ball_u, shape) == ref_ball(ref.root_u, ref.children_u)
+        assert (ball_v, shape) == ref_ball(ref.root_v, ref.children_v)
         assert len(ball_u) == len(ball_v) == len(set(ball_u))
+
+    def test_balls_of_different_shape_raise(self, monkeypatch):
+        # A region holding only u's ball cuts the ball at v short.
+        monkeypatch.setattr(
+            processes, "region_from_balls",
+            lambda centers, budget: region_from_balls(centers[:1], budget=budget),
+        )
+        with pytest.raises(InvariantError, match="differ in shape"):
+            _two_balls(3, 1, 1)

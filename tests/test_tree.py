@@ -8,7 +8,6 @@ from treefactor.bounds import normalized_mi_bound
 from treefactor import tree
 from treefactor.errors import BudgetExceededError, InvariantError
 from treefactor.tree import (
-    _ball_addresses,
     _intersection_size_formula,
     ball,
     ball_intersection_size,
@@ -20,7 +19,11 @@ from treefactor.tree import (
     sphere_size,
     vertex_at_distance,
 )
-from treefactor.words import FreeProductSignature, word_from_str
+from treefactor.words import FreeProductSignature, _ball_words, word_from_str
+
+
+def _addresses(vertex, radius):
+    return set(_ball_words(vertex.address.sig, radius, vertex.address.letters))
 
 
 class TestDistance:
@@ -81,7 +84,7 @@ class TestBalls:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_closed_form_matches_enumeration(self, d):
         for radius in range(7):
-            assert len(_ball_addresses(origin(d).address, radius)) == ball_size(d, radius)
+            assert len(_addresses(origin(d), radius)) == ball_size(d, radius)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_region_is_a_tree(self, d):
@@ -135,8 +138,8 @@ class TestIntersections:
                 for k in range(2 * radius + 3):
                     u = origin(d)
                     v = vertex_at_distance(u, k)
-                    a = _ball_addresses(u.address, radius)
-                    b = _ball_addresses(v.address, radius)
+                    a = _addresses(u, radius)
+                    b = _addresses(v, radius)
                     assert _intersection_size_formula(d, radius, k) == len(a & b), (d, radius, k)
 
     def test_formula_used_beyond_budget(self):

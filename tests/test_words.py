@@ -1,15 +1,18 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treefactor.tree import ball_size
 from treefactor.words import (
     CONSTRUCTION_EVEN_K,
     FreeProductSignature,
     GeneratingSet,
     Letter,
     Word,
+    _ball_words,
     build_generators,
     decode_factorizations,
     expected_rank,
@@ -312,6 +315,36 @@ class TestVerifyFreeClaim:
     def test_nmax_validation(self):
         with pytest.raises(ValueError):
             verify_free_claim(build_generators(3, 2), 0)
+
+
+class TestBallWords:
+    """The breadth-first walk against every letter sequence of length at
+    most R applied to the centre, reduced by the scanning oracle."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("involutions", [False, True])
+    @pytest.mark.parametrize("radius", range(5))
+    @pytest.mark.parametrize("center", [(), (1, 2, 1)])
+    def test_matches_brute_force(self, d, involutions, radius, center):
+        sig = FreeProductSignature(0, d) if involutions else FreeProductSignature(d // 2, d % 2)
+        words = _ball_words(sig, radius, center)
+        assert len(set(words)) == len(words) == ball_size(d, radius)
+        back = tuple(sig.letter_inverse(x) for x in reversed(center))
+        distances = [len(scan_reduce(back + w, sig)) for w in words]
+        assert distances == sorted(distances)
+        brute = {
+            scan_reduce(center + seq, sig)
+            for n in range(radius + 1)
+            for seq in product(sig.alphabet(), repeat=n)
+        }
+        assert set(words) == brute
+
+    def test_levels_extend_in_alphabet_order(self):
+        assert _ball_words(FreeProductSignature(1, 1), 2) == [
+            (),
+            (1,), (-1,), (2,),
+            (1, 1), (1, 2), (-1, -1), (-1, 2), (2, 1), (2, -1),
+        ]
 
 
 class TestCosetFactorization:
