@@ -263,7 +263,7 @@ def _parse_k_values(spec: str) -> list[int]:
         ks = list(range(int(lo), int(hi) + 1))
     else:
         ks = [int(part) for part in spec.split(",")]
-    if not ks or min(ks) < 0:
+    if not ks or min(ks) < 1:
         raise ValueError(spec)
     return ks
 
@@ -279,7 +279,7 @@ def _positive_float(spec: str) -> float:
 _SWEEP_KEYS = {
     "process": (str, "str"),
     "d": (int, "int"),
-    "k": (_parse_k_values, "distances >= 0 as n, lo:hi or n,m,..."),
+    "k": (_parse_k_values, "distances >= 1 as n, lo:hi or n,m,..."),
     "R": (int, "int"),
     "samples": (int, "int"),
     "seed": (int, "int"),

@@ -23,7 +23,8 @@ class InvariantError(TreeFactorError):
 
 
 class LocalAlgorithmError(TreeFactorError):
-    """A round-based local algorithm hit its round cap or broke an invariant."""
+    """A finite-graph construction found no simple pairing or broke its
+    contract (sparse phases have no round cap: every round fixes a vertex)."""
 
 
 class TruncationError(TreeFactorError):

@@ -46,7 +46,6 @@ from .tree import (
 
 DEFAULT_ENUM_BUDGET = 2**24
 DEFAULT_REGION_VERTEX_BUDGET = 60_000
-DEFAULT_ROUND_CAP = 10_000
 MC_CHUNK = 10_000
 _PAIRING_ATTEMPTS = 5000  # stub pairings tried before random_regular_graph gives up
 _ENUM_BLOCK = 4096  # configurations per block of exact enumeration; bounds its memory
@@ -603,16 +602,17 @@ def _sparse_phase(
     balls: tuple[np.ndarray, np.ndarray],
     undecided: np.ndarray,
     rng: np.random.Generator,
-    round_cap: int,
 ) -> tuple[list[int], int]:
     """One sparse-set phase on the vertices of the boolean mask ``undecided``.
 
-    Each round every undecided vertex proposes with probability 1/2 and the
-    proposal sticks iff no other proposer sits within the separation
-    distance; undecided vertices that then see a fixed vertex within that
-    distance drop out.  ``balls`` are the separation-radius balls of
-    ``_balls``; the phase works on them cut down to the undecided vertices,
-    and cuts them again whenever vertices drop out.  Returns the fixed
+    Each round the undecided vertices draw distinct ranks (one random
+    permutation), and a vertex is fixed iff its rank is the lowest in its
+    ball; undecided vertices that then see a fixed vertex within the
+    separation distance drop out.  ``balls`` are the separation-radius
+    balls of ``_balls``; the phase works on them cut down to the undecided
+    vertices, and cuts them again after every round.  The lowest rank of
+    all is fixed, so every round fixes a vertex and the phase ends within
+    as many rounds as there are undecided vertices.  Returns the fixed
     vertices and the round count.
     """
     vertices = np.flatnonzero(undecided)
@@ -621,37 +621,30 @@ def _sparse_phase(
     rounds = 0
     while len(vertices):
         rounds += 1
-        if rounds > round_cap:
-            raise LocalAlgorithmError(
-                f"per-phase round cap {round_cap} exceeded; waiting times "
-                f"grow like 2^|B_L|, so large separations need a larger cap"
-            )
-        proposing = rng.random(len(vertices)) < 0.5
-        sticks = proposing & (_marked_in_balls(proposing, indptr, indices) == 1)
-        if sticks.any():
-            fixed_all.extend(vertices[sticks].tolist())
-            keep = _marked_in_balls(sticks, indptr, indices) == 0
-            indptr, indices = _restrict_balls(indptr, indices, keep)
-            vertices = vertices[keep]
+        ranks = rng.permutation(len(vertices))
+        fixed = np.minimum.reduceat(ranks[indices], indptr[:-1]) == ranks
+        if not fixed.any():
+            raise InvariantError(f"round {rounds} of a sparse phase fixed no vertex")
+        fixed_all.extend(vertices[fixed].tolist())
+        keep = _marked_in_balls(fixed, indptr, indices) == 0
+        indptr, indices = _restrict_balls(indptr, indices, keep)
+        vertices = vertices[keep]
     return fixed_all, rounds
 
 
-def sparse_set_labeling(
-    G: FiniteGraphInstance, separation: int, seed: int, round_cap: int = DEFAULT_ROUND_CAP
-) -> SparseSetResult:
+def sparse_set_labeling(G: FiniteGraphInstance, separation: int, seed: int) -> SparseSetResult:
     """Round-based 0/1 labeling: 1-labels pairwise further than ``separation``
     apart, yet every vertex has a 1-label within that distance.
 
-    One sparse-set phase on all vertices: the vertices it fixes get label
-    1, all others 0.  Both properties are re-checked on the final labeling
-    before returning.
+    One sparse-set phase of random-priority rounds on all vertices (Luby's
+    rounds on the separation-power graph, O(log n) rounds with high
+    probability): the vertices it fixes get label 1, all others 0.  Both
+    properties are re-checked on the final labeling before returning.
     """
     if separation < 1:
         raise ValueError("separation must be >= 1")
     rng = np.random.default_rng(seed)
-    fixed, rounds = _sparse_phase(
-        _balls(G, separation), np.ones(G.n, dtype=bool), rng, round_cap
-    )
+    fixed, rounds = _sparse_phase(_balls(G, separation), np.ones(G.n, dtype=bool), rng)
     labels = np.zeros(G.n, dtype=np.int64)
     labels[fixed] = 1
     sep_ok, dom_ok = check_sparse_set(G, labels.tolist(), separation)
@@ -682,9 +675,7 @@ def check_sparse_coloring(
     return True
 
 
-def sparse_coloring(
-    G: FiniteGraphInstance, separation: int, seed: int, round_cap: int = DEFAULT_ROUND_CAP
-) -> SparseColoringResult:
+def sparse_coloring(G: FiniteGraphInstance, separation: int, seed: int) -> SparseColoringResult:
     """Repeated sparse-set phases, one color per phase, until every vertex
     is colored.  Same-color vertices end up further than ``separation``
     apart, and the number of colors never exceeds the tree ball size."""
@@ -702,7 +693,7 @@ def sparse_coloring(
             raise LocalAlgorithmError(
                 f"more than {max_colors} colors needed; dynamics are broken"
             )
-        fixed, rounds = _sparse_phase(balls, colors == 0, rng, round_cap)
+        fixed, rounds = _sparse_phase(balls, colors == 0, rng)
         colors[fixed] = color
         rounds_total += rounds
     if not check_sparse_coloring(G, colors.tolist(), separation):

@@ -15,6 +15,7 @@ from .words import (
     FreeProductSignature,
     Word,
     _ball_words,
+    _letters_sort_key,
     _multiply_raw,
     inverse,
     multiply,
@@ -51,6 +52,8 @@ def origin(d: int) -> TreeVertex:
 
 def vertex_at_distance(start: TreeVertex, k: int) -> TreeVertex:
     """Some vertex at distance exactly k from ``start`` (a straight path)."""
+    if k < 0:
+        raise ValueError(f"distance must be >= 0, got {k}")
     sig = start.address.sig
     last = start.address.letters[-1] if start.address.letters else 0
     if sig.r >= 1:
@@ -123,7 +126,7 @@ def region_from_balls(
         if center.address.sig != sig:
             raise ValueError("centers live in trees with different signatures")
         addresses.update(_ball_words(sig, radius, center.address.letters))
-    ordered = sorted(addresses, key=lambda w: Word(w, sig).sort_key())
+    ordered = sorted(addresses, key=_letters_sort_key)
     index = {w: i for i, w in enumerate(ordered)}
     edges = []
     alphabet = sig.alphabet()

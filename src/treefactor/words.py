@@ -127,6 +127,11 @@ def _ball_words(
     return words
 
 
+def _letters_sort_key(letters: tuple[int, ...]) -> tuple:
+    # a1 < a1^-1 < a2 < a2^-1 < ... ; shorter words first.
+    return (len(letters), tuple((abs(x), 0 if x > 0 else 1) for x in letters))
+
+
 @dataclass(frozen=True)
 class Word:
     """A group element in reduced form; also a d-regular-tree vertex address."""
@@ -153,8 +158,7 @@ class Word:
         return word_to_str(self)
 
     def sort_key(self) -> tuple:
-        # a1 < a1^-1 < a2 < a2^-1 < ... ; shorter words first.
-        return (len(self.letters), tuple((abs(x), 0 if x > 0 else 1) for x in self.letters))
+        return _letters_sort_key(self.letters)
 
     @property
     def is_identity(self) -> bool:

@@ -246,13 +246,14 @@ class TestSweep:
         assert "raise the truncation radius" in err
         assert out == ""
 
-    @pytest.mark.parametrize("spec", ["1:x", "a", "", "1:0", "-1", "2,-3"])
+    # every measure verdict needs k >= 1, so 0 is rejected with the others
+    @pytest.mark.parametrize("spec", ["1:x", "a", "", "1:0", "-1", "2,-3", "0:2", "0", "2,0"])
     def test_bad_distances_name_file_and_line(self, capsys, tmp_path, spec):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(f"process = majority\nd = 3\nk = {spec}\n")
         code, out, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == EXIT_USAGE
-        assert f"{cfg}:3: k must be distances >= 0 as n, lo:hi or n,m,..., got {spec!r}" in err
+        assert f"{cfg}:3: k must be distances >= 1 as n, lo:hi or n,m,..., got {spec!r}" in err
         assert out == ""
 
     def test_non_utf8_line_names_file_and_line(self, capsys, tmp_path):
@@ -407,6 +408,18 @@ class TestSparse:
         )
         assert code == EXIT_USAGE
         assert "even" in err
+
+    @pytest.mark.parametrize("seed", [1, 2, 6, 7, 9])
+    def test_separation_three_coloring_finishes(self, capsys, seed):
+        # separation 3 = 2R+k is what a radius-1 listing at distance 1 needs
+        code, out, _ = run(
+            capsys, "--format", "json", "sparse", "--mode", "coloring", "--n", "1000",
+            "--d", "3", "--L", "3", "--seed", str(seed),
+        )
+        assert code == EXIT_OK
+        (row,) = json.loads(out)["rows"]
+        assert row["separation"] == "OK"
+        assert row["colors"] <= row["color_cap"] == 22
 
     def test_deterministic_output(self, capsys):
         argv = ["--format", "csv", "sparse", "--n", "200", "--d", "3", "--L", "2",

@@ -2,9 +2,9 @@
 
 ``short_cycle_count`` is checked against networkx's bounded
 ``simple_cycles``.  The sparse phase, which runs each round as array
-operations on precomputed balls, is checked against the per-proposer
-breadth-first search it replaced: labels, colors and round counts must be
-identical, because both consume the same draws.
+operations on precomputed balls, is checked against a per-vertex
+breadth-first search over the same rank draws: labels, colors and round
+counts must be identical, because both consume the same draws.
 """
 
 import json
@@ -16,9 +16,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from treefactor.errors import LocalAlgorithmError
+from treefactor.errors import InvariantError
 from treefactor.processes import (
-    DEFAULT_ROUND_CAP,
     FiniteGraphInstance,
     _balls,
     _sparse_phase,
@@ -131,14 +130,16 @@ class TestShortCycleCount:
 
 
 # ---------------------------------------------------------------------------
-# The sparse phase against the per-proposer search
+# The sparse phase against the per-vertex search
 # ---------------------------------------------------------------------------
 
 
-def reference_phase(G, undecided, separation, rng, round_cap, balls):
-    """The per-proposer loop: one breadth-first search per proposer per
-    round.  ``balls`` memoizes each vertex's search so that the reference
-    runs in test time; the check made with it is unchanged."""
+def reference_phase(G, undecided, separation, rng, balls):
+    """The per-vertex loop: every undecided vertex takes its rank from the
+    same permutation draw and is fixed iff no undecided vertex in its
+    breadth-first ball has a lower rank.  ``balls`` memoizes each vertex's
+    search so that the reference runs in test time; the check made with it
+    is unchanged."""
 
     def ball(p):
         if p not in balls:
@@ -150,30 +151,23 @@ def reference_phase(G, undecided, separation, rng, round_cap, balls):
     rounds = 0
     while np.any(undecided):
         rounds += 1
-        if rounds > round_cap:
-            raise LocalAlgorithmError(f"per-phase round cap {round_cap} exceeded")
-        candidates = np.flatnonzero(undecided)
-        proposers = candidates[rng.random(len(candidates)) < 0.5].tolist()
-        proposer_set = set(proposers)
-        fixed = []
-        for p in proposers:
-            if not any(w != p and w in proposer_set for w in ball(p)):
-                fixed.append(p)
-        if fixed:
-            undecided[list(_within_distance(G.adjacency, fixed, separation))] = False
-            fixed_all.extend(fixed)
+        candidates = np.flatnonzero(undecided).tolist()
+        rank = dict(zip(candidates, rng.permutation(len(candidates)).tolist()))
+        fixed = [p for p in candidates if rank[p] == min(rank.get(w, rank[p]) for w in ball(p))]
+        undecided[list(_within_distance(G.adjacency, fixed, separation))] = False
+        fixed_all.extend(fixed)
     return fixed_all, rounds
 
 
-def reference_sparse_set(G, separation, seed, round_cap=DEFAULT_ROUND_CAP):
+def reference_sparse_set(G, separation, seed):
     rng = np.random.default_rng(seed)
-    fixed, rounds = reference_phase(G, np.ones(G.n, dtype=bool), separation, rng, round_cap, {})
+    fixed, rounds = reference_phase(G, np.ones(G.n, dtype=bool), separation, rng, {})
     labels = np.zeros(G.n, dtype=np.int64)
     labels[fixed] = 1
     return tuple(labels.tolist()), rounds
 
 
-def reference_coloring(G, separation, seed, round_cap=DEFAULT_ROUND_CAP):
+def reference_coloring(G, separation, seed):
     rng = np.random.default_rng(seed)
     balls = {}
     colors = np.zeros(G.n, dtype=np.int64)
@@ -181,7 +175,7 @@ def reference_coloring(G, separation, seed, round_cap=DEFAULT_ROUND_CAP):
     color = 0
     while np.any(colors == 0):
         color += 1
-        fixed, rounds = reference_phase(G, colors == 0, separation, rng, round_cap, balls)
+        fixed, rounds = reference_phase(G, colors == 0, separation, rng, balls)
         colors[fixed] = color
         rounds_total += rounds
     return tuple(colors.tolist()), rounds_total
@@ -193,14 +187,25 @@ GRAPHS = {
     "rrg1000": lambda: random_regular_graph(1000, 3, seed=6),
     "tree_ball_3_6": lambda: tree_ball_graph(3, 6),
 }
-# At separation 3 on a random graph a phase runs thousands of rounds, so
-# the reference takes seconds per seed there: fewer seeds on the smaller
-# random graph, and none on the larger.
 PHASE_CASES = (
     [(g, L, 20) for g in ("K4", "tree_ball_3_6") for L in (1, 2, 3)]
     + [(g, L, 20) for g in ("rrg200", "rrg1000") for L in (1, 2)]
-    + [("rrg200", 3, 2)]
+    + [("rrg200", 3, 2), ("rrg1000", 3, 20), ("rrg1000", 4, 20)]
 )
+
+
+class RoundLimitedRng:
+    """A generator that stops a phase running on past ``rounds`` rounds."""
+
+    def __init__(self, seed, rounds):
+        self.rng = np.random.default_rng(seed)
+        self.rounds_left = rounds
+
+    def permutation(self, n):
+        if self.rounds_left == 0:
+            raise RuntimeError("the phase ran on after a round that fixed nothing")
+        self.rounds_left -= 1
+        return self.rng.permutation(n)
 
 
 class TestSparsePhase:
@@ -213,31 +218,25 @@ class TestSparsePhase:
             coloring = sparse_coloring(G, L, seed)
             assert (coloring.colors, coloring.rounds) == reference_coloring(G, L, seed)
 
-    @pytest.mark.parametrize("graph", ["rrg200", "tree_ball_3_6"])
-    @pytest.mark.parametrize("round_cap", [1, 2, 3, 5])
-    def test_round_cap_hits_on_the_same_round(self, graph, round_cap):
-        G = GRAPHS[graph]()
-        undecided = np.ones(G.n, dtype=bool)
-        rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
-        with pytest.raises(LocalAlgorithmError, match="round cap"):
-            _sparse_phase(_balls(G, 3), undecided, rng, round_cap)
-        with pytest.raises(LocalAlgorithmError, match="round cap"):
-            reference_phase(G, undecided, 3, reference_rng, round_cap, {})
-        # the same draws were consumed, so both stopped after the same round
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
+    def test_round_that_fixes_nothing_is_an_invariant_error(self):
+        # Balls that leave out their own centre: no rank is the minimum of
+        # its ball, so the first round fixes nothing.
+        G = GRAPHS["K4"]()
+        indptr = np.arange(0, 3 * G.n + 1, 3)
+        indices = np.array([w for nbrs in G.adjacency for w in nbrs])
+        with pytest.raises(InvariantError, match="fixed no vertex"):
+            _sparse_phase((indptr, indices), np.ones(G.n, dtype=bool), RoundLimitedRng(0, 3))
 
-    @pytest.mark.parametrize("round_cap", [1, 3, 10, 30])
-    def test_round_cap_agrees_with_reference(self, round_cap):
-        G = GRAPHS["rrg200"]()
-        for seed in range(5):
-            try:
-                expected = reference_coloring(G, 2, seed, round_cap)
-            except LocalAlgorithmError:
-                with pytest.raises(LocalAlgorithmError, match="round cap"):
-                    sparse_coloring(G, 2, seed, round_cap=round_cap)
-            else:
-                coloring = sparse_coloring(G, 2, seed, round_cap=round_cap)
-                assert (coloring.colors, coloring.rounds) == expected
+    @pytest.mark.parametrize("graph,L", [("rrg1000", 4), ("tree_ball_3_6", 3)])
+    def test_phase_ends_within_the_undecided_count(self, graph, L):
+        G = GRAPHS[graph]()
+        undecided = np.arange(G.n) % 3 > 0
+        rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+        fixed, rounds = _sparse_phase(_balls(G, L), undecided, rng)
+        assert (fixed, rounds) == reference_phase(G, undecided, L, reference_rng, {})
+        assert 1 <= rounds <= len(fixed) <= np.count_nonzero(undecided)
+        # the same draws were consumed, one permutation per round
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_balls_are_closed_and_symmetric(self):
         G = GRAPHS["tree_ball_3_6"]()

@@ -266,8 +266,7 @@ class TestListing:
 
     def test_finite_label_count_approaches_ratio(self):
         G = random_regular_graph(200, 3, seed=11)
-        # L = 2R+k for R=1, k=1; phases at separation 3 wait ~2^|B_3| rounds
-        coloring = sparse_coloring(G, 3, seed=12, round_cap=300_000)
+        coloring = sparse_coloring(G, 3, seed=12)  # L = 2R+k for R=1, k=1
         target = listing_normalized_mi(3, 1, 1)
         gaps = []
         for n_labels in (2, 16, 256):

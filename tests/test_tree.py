@@ -7,6 +7,7 @@ import pytest
 from treefactor.bounds import normalized_mi_bound
 from treefactor import tree
 from treefactor.errors import BudgetExceededError, InvariantError
+from treefactor.processes import majority_rule, mc_joint
 from treefactor.tree import (
     _intersection_size_formula,
     ball,
@@ -65,6 +66,14 @@ class TestDistance:
         sig = FreeProductSignature(2, 0)
         start = type(origin(4))(word_from_str("A1", sig))
         assert dist(start, vertex_at_distance(start, 5)) == 5
+
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_negative_distance_rejected(self, k):
+        # no vertex lies at a negative distance, so no measurement may run there
+        with pytest.raises(ValueError, match="distance must be >= 0"):
+            vertex_at_distance(origin(3), k)
+        with pytest.raises(ValueError, match="distance must be >= 0"):
+            mc_joint(majority_rule(3), 3, k, 2000, seed=1)
 
 
 class TestBalls:
