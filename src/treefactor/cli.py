@@ -23,6 +23,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .errors import BudgetExceededError, TreeFactorError
 from .processes import (
+    DEFAULT_ENUM_BUDGET,
     RULES,
     GaussianSignSpec,
     exact_joint,
@@ -230,6 +231,10 @@ _MEASURE_FIELDS = [
 
 
 def _measure_dispatch(args) -> tuple[list[dict], list[str], int]:
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
+    if args.method == "mc" and args.samples < 1:
+        raise ValueError(f"--method mc needs --samples >= 1, got {args.samples}")
     if args.process in RULES:
         return _measure_block_rule(args)
     if args.process == "listing":
@@ -528,14 +533,16 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=0.25, help="gaussian-sign only")
     p.add_argument("--D", type=int, default=8, help="gaussian-sign truncation radius")
     p.add_argument("--tail-tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+                   help="label configurations exact enumeration may sum over")
     p.add_argument("--dump-region", help="write the measurement region as JSON")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("sweep",
                        help="run a measurement sweep from a key=value config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+                   help="label configurations exact enumeration may sum over")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sharpness",

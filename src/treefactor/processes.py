@@ -37,10 +37,10 @@ from .information import (
 from .tree import (
     BallRegion,
     ball_size,
-    dist,
     listing_ratio,
     origin,
     region_from_balls,
+    sphere_size,
     vertex_at_distance,
 )
 
@@ -525,22 +525,6 @@ def short_cycle_count(G: FiniteGraphInstance, max_length: int = 6) -> int:
     return walks // 2
 
 
-def _within_distance(
-    adjacency: Sequence[Sequence[int]], sources: Sequence[int], radius: int
-) -> set[int]:
-    seen = set(sources)
-    frontier = list(sources)
-    for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            for nb in adjacency[x]:
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return seen
-
-
 @dataclass(frozen=True)
 class SparseSetResult:
     graph: FiniteGraphInstance
@@ -558,32 +542,45 @@ def check_sparse_set(
     G: FiniteGraphInstance, labels: Sequence[int], separation: int
 ) -> tuple[bool, bool]:
     """(separation holds, domination holds) for a 0/1 labeling."""
-    ones = [i for i, lab in enumerate(labels) if lab == 1]
-    sep_ok = True
-    for v in ones:
-        near = _within_distance(G.adjacency, [v], separation)
-        if any(w != v and labels[w] == 1 for w in near):
-            sep_ok = False
-            break
-    dom_ok = len(_within_distance(G.adjacency, ones, separation)) == G.n if ones else G.n == 0
-    return sep_ok, dom_ok
+    return _sparse_set_holds(_balls(G, separation), labels)
 
 
-def _balls(G: FiniteGraphInstance, radius: int) -> tuple[np.ndarray, np.ndarray]:
+def _sparse_set_holds(balls: tuple[np.ndarray, ...], labels: Sequence[int]) -> tuple[bool, bool]:
+    """``check_sparse_set`` on the separation balls of ``_balls``: each
+    1-vertex's ball holds one 1 (its own), and every ball holds a 1."""
+    indptr, indices = balls[:2]
+    ones = np.asarray(labels) == 1
+    ones_in_ball = _ball_sums(ones[indices], indptr)
+    return bool(np.all(ones_in_ball[ones] == 1)), bool(np.all(ones_in_ball >= 1))
+
+
+def _balls(G: FiniteGraphInstance, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed ball of radius ``radius`` around every vertex, as CSR
-    arrays: ball v is ``indices[indptr[v]:indptr[v + 1]]`` and holds v."""
-    balls = [_within_distance(G.adjacency, [v], radius) for v in range(G.n)]
+    arrays: ball v is ``indices[indptr[v]:indptr[v + 1]]``, listed
+    breadth-first in adjacency order starting with v, and ``depth`` holds
+    each entry's distance from v."""
+    indices: list[int] = []
+    depth: list[int] = []
     indptr = np.zeros(G.n + 1, dtype=np.intp)
-    np.cumsum([len(ball) for ball in balls], out=indptr[1:])
-    indices = np.fromiter(
-        (w for ball in balls for w in ball), dtype=np.intp, count=int(indptr[-1])
-    )
-    return indptr, indices
+    for v in range(G.n):
+        ball, level, seen = [v], [0], {v}
+        for i, x in enumerate(ball):  # the list grows while it is read: breadth-first
+            if level[i] == radius:
+                break
+            for w in G.adjacency[x]:
+                if w not in seen:
+                    seen.add(w)
+                    ball.append(w)
+                    level.append(level[i] + 1)
+        indices += ball
+        depth += level
+        indptr[v + 1] = len(indices)
+    return indptr, np.asarray(indices, dtype=np.intp), np.asarray(depth, dtype=np.intp)
 
 
-def _marked_in_balls(marked: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Number of marked vertices in each ball (no ball is empty)."""
-    return np.add.reduceat(marked[indices], indptr[:-1], dtype=np.intp)
+def _ball_sums(entries: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Sum of a per-entry array over each ball (no ball is empty)."""
+    return np.add.reduceat(entries, indptr[:-1], dtype=np.intp)
 
 
 def _restrict_balls(
@@ -592,14 +589,14 @@ def _restrict_balls(
     """The balls of the kept vertices, cut down to kept vertices and
     renumbered in order."""
     inside = np.repeat(keep, np.diff(indptr)) & keep[indices]
-    sizes = _marked_in_balls(keep, indptr, indices)[keep]
+    sizes = _ball_sums(keep[indices], indptr)[keep]
     new_indptr = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=new_indptr[1:])
     return new_indptr, (np.cumsum(keep) - 1)[indices[inside]]
 
 
 def _sparse_phase(
-    balls: tuple[np.ndarray, np.ndarray],
+    balls: tuple[np.ndarray, ...],
     undecided: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[list[int], int]:
@@ -616,7 +613,7 @@ def _sparse_phase(
     vertices and the round count.
     """
     vertices = np.flatnonzero(undecided)
-    indptr, indices = _restrict_balls(*balls, undecided)
+    indptr, indices = _restrict_balls(*balls[:2], undecided)
     fixed_all: list[int] = []
     rounds = 0
     while len(vertices):
@@ -626,7 +623,7 @@ def _sparse_phase(
         if not fixed.any():
             raise InvariantError(f"round {rounds} of a sparse phase fixed no vertex")
         fixed_all.extend(vertices[fixed].tolist())
-        keep = _marked_in_balls(fixed, indptr, indices) == 0
+        keep = _ball_sums(fixed[indices], indptr) == 0
         indptr, indices = _restrict_balls(indptr, indices, keep)
         vertices = vertices[keep]
     return fixed_all, rounds
@@ -644,10 +641,11 @@ def sparse_set_labeling(G: FiniteGraphInstance, separation: int, seed: int) -> S
     if separation < 1:
         raise ValueError("separation must be >= 1")
     rng = np.random.default_rng(seed)
-    fixed, rounds = _sparse_phase(_balls(G, separation), np.ones(G.n, dtype=bool), rng)
+    balls = _balls(G, separation)
+    fixed, rounds = _sparse_phase(balls, np.ones(G.n, dtype=bool), rng)
     labels = np.zeros(G.n, dtype=np.int64)
     labels[fixed] = 1
-    sep_ok, dom_ok = check_sparse_set(G, labels.tolist(), separation)
+    sep_ok, dom_ok = _sparse_set_holds(balls, labels)
     if not (sep_ok and dom_ok):
         raise LocalAlgorithmError(
             f"labeling violates its contract: separation={sep_ok}, domination={dom_ok}"
@@ -668,11 +666,16 @@ class SparseColoringResult:
 def check_sparse_coloring(
     G: FiniteGraphInstance, colors: Sequence[int], separation: int
 ) -> bool:
-    for v in range(G.n):
-        near = _within_distance(G.adjacency, [v], separation)
-        if any(w != v and colors[w] == colors[v] for w in near):
-            return False
-    return True
+    return _coloring_holds(_balls(G, separation), colors)
+
+
+def _coloring_holds(balls: tuple[np.ndarray, ...], colors: Sequence[int]) -> bool:
+    """``check_sparse_coloring`` on the separation balls of ``_balls``:
+    every ball holds one vertex of its centre's color, the centre."""
+    indptr, indices = balls[:2]
+    colors = np.asarray(colors)
+    own = colors[indices] == np.repeat(colors, np.diff(indptr))
+    return bool(np.all(_ball_sums(own, indptr) == 1))
 
 
 def sparse_coloring(G: FiniteGraphInstance, separation: int, seed: int) -> SparseColoringResult:
@@ -696,7 +699,7 @@ def sparse_coloring(G: FiniteGraphInstance, separation: int, seed: int) -> Spars
         fixed, rounds = _sparse_phase(balls, colors == 0, rng)
         colors[fixed] = color
         rounds_total += rounds
-    if not check_sparse_coloring(G, colors.tolist(), separation):
+    if not _coloring_holds(balls, colors):
         raise LocalAlgorithmError("coloring violates its separation contract")
     return SparseColoringResult(
         G, separation, tuple(colors.tolist()), int(colors.max()), rounds_total, seed
@@ -714,20 +717,6 @@ def listing_normalized_mi(d: int, radius: int, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     return float(listing_ratio(d, radius, k))
-
-
-def _vertices_at_distance(G: FiniteGraphInstance, u: int, k: int) -> list[int]:
-    depth = {u: 0}
-    frontier = [u]
-    for level in range(1, k + 1):
-        nxt = []
-        for x in frontier:
-            for nb in G.adjacency[x]:
-                if nb not in depth:
-                    depth[nb] = level
-                    nxt.append(nb)
-        frontier = nxt
-    return frontier
 
 
 def listing_finite_N_mi(
@@ -756,22 +745,23 @@ def listing_finite_N_mi(
             f"coloring separation {coloring.separation} < 2R+k = {2 * radius + k}"
         )
     G = coloring.graph
-    colors = coloring.colors
+    indptr, indices, depth = _balls(G, max(radius, k))
+    # Balls are listed breadth-first, so the radius-R part of each comes first.
+    colors = np.asarray(coloring.colors)
+    ends = indptr[:-1] + _ball_sums(depth <= radius, indptr)
+    pats = [frozenset(colors[indices[a:b]].tolist()) for a, b in zip(indptr[:-1], ends)]
+    partners = depth == k
+    us = np.repeat(np.arange(G.n), np.diff(indptr))[partners]
     patterns: dict[frozenset, int] = {}
     pair_rows = []
     ball_sizes = []
     shared_sizes = []
-    for u in range(G.n):
-        pat_u = frozenset(colors[w] for w in _within_distance(G.adjacency, [u], radius))
-        for v in _vertices_at_distance(G, u, k):
-            pat_v = frozenset(
-                colors[w] for w in _within_distance(G.adjacency, [v], radius)
-            )
-            iu = patterns.setdefault(pat_u, len(patterns))
-            iv = patterns.setdefault(pat_v, len(patterns))
-            pair_rows.append((iu, iv))
-            ball_sizes.append(len(pat_v))
-            shared_sizes.append(len(pat_u & pat_v))
+    for u, v in zip(us.tolist(), indices[partners].tolist()):
+        iu = patterns.setdefault(pats[u], len(patterns))
+        iv = patterns.setdefault(pats[v], len(patterns))
+        pair_rows.append((iu, iv))
+        ball_sizes.append(len(pats[v]))
+        shared_sizes.append(len(pats[u] & pats[v]))
     if not pair_rows:
         raise ValueError(f"graph has no vertex pairs at distance {k}")
 
@@ -994,20 +984,15 @@ def gaussian_sign_measure(
     )
     if samples == 0:
         J = symmetric_binary_joint(closed["q"])
-        pm = measurement_from_joint(
-            spec.d, k, J, (1.0, -1.0), (1.0, -1.0), "closed-form", extra=extra
-        )
         return ProcessMeasurement(
-            d=pm.d,
-            k=pm.k,
+            d=spec.d,
+            k=k,
             method="closed-form",
-            joint=pm.joint,
-            entropy_v=MeasuredQuantity(pm.entropy_v.value, 0.0, "closed-form"),
+            joint=J,
+            entropy_v=MeasuredQuantity(float(_entropy(J.as_array.sum(axis=0))), 0.0, "closed-form"),
             mi=MeasuredQuantity(closed["mi"], 0.0, "closed-form"),
             nmi=MeasuredQuantity(closed["mi"] / math.log(2.0), 0.0, "closed-form"),
             corr=MeasuredQuantity(closed["corr"], 0.0, "closed-form"),
-            samples=None,
-            seed=None,
             extra=extra,
         )
     if samples < 1:
@@ -1015,16 +1000,14 @@ def gaussian_sign_measure(
     if seed is None:
         raise ValueError("Monte Carlo requires a seed")
     D = spec.truncation_radius
-    u = origin(spec.d)
-    v = vertex_at_distance(u, k)
-    region = region_from_balls([(u, D), (v, D)], budget=DEFAULT_REGION_VERTEX_BUDGET)
-    w_u = np.empty(len(region.vertices))
-    w_v = np.empty(len(region.vertices))
-    for i, w in enumerate(region.vertices):
-        du = dist(u, w)
-        dv = dist(v, w)
-        w_u[i] = spec.alpha(du) if du <= D else 0.0
-        w_v[i] = spec.alpha(dv) if dv <= D else 0.0
+    region, ball_u, ball_v, _ = _two_balls(spec.d, D, k)
+    # A ball lists its positions level by level: depth j fills sphere_size(d, j) of them.
+    depth = np.repeat(np.arange(D + 1), [sphere_size(spec.d, j) for j in range(D + 1)])
+    alpha = np.array([spec.alpha(j) for j in range(D + 1)])[depth]
+    w_u = np.zeros(len(region.vertices))
+    w_v = np.zeros(len(region.vertices))
+    w_u[ball_u] = alpha
+    w_v[ball_v] = alpha
     rng = np.random.Generator(np.random.Philox(key=seed))
     counts = np.zeros(4, dtype=np.int64)
     buf = np.empty((min(MC_CHUNK, samples), len(region.vertices)))

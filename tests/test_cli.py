@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treefactor import bounds as bounds_mod
+from treefactor import cli
 from treefactor.cli import (
     _SWEEP_KEYS,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERDICT_FAILED,
     _parse_sweep_config,
+    build_parser,
     main,
 )
 from treefactor.information import MeasuredQuantity
+from treefactor.processes import DEFAULT_ENUM_BUDGET
 
 
 def run(capsys, *argv):
@@ -340,6 +343,79 @@ class TestBudgetEnvVar:
         )
         assert code == EXIT_OK
         assert "INCOMPLETE" not in out
+
+
+class TestEnumerationBudget:
+    def test_measure_and_sweep_default_to_the_enumeration_budget(self):
+        parser = build_parser()
+        measure = parser.parse_args(["measure", "--process", "parity", "--d", "12", "--k", "1"])
+        sweep = parser.parse_args(["sweep", "--config", "sweep.cfg"])
+        assert measure.budget == sweep.budget == DEFAULT_ENUM_BUDGET
+
+    def test_exact_joint_gets_the_enumeration_budget(self, capsys, monkeypatch):
+        budgets = []
+        real = cli.exact_joint
+
+        def spy(rule, d, k, budget):
+            budgets.append(budget)
+            return real(rule, d, k, budget=budget)
+
+        monkeypatch.setattr(cli, "exact_joint", spy)
+        code, _, _ = run(capsys, "measure", "--process", "parity", "--d", "3", "--k", "1",
+                         "--method", "exact")
+        assert code == EXIT_OK
+        assert budgets == [DEFAULT_ENUM_BUDGET]
+
+    @pytest.mark.parametrize("method", ["exact", "auto"])
+    def test_verifier_budget_env_var_does_not_reach_measure(self, capsys, monkeypatch, method):
+        monkeypatch.setenv("TREEFACTOR_BUDGET", "5")
+        code, out, _ = run(capsys, "measure", "--process", "majority", "--d", "3", "--k", "1",
+                           "--method", method)
+        assert code == EXIT_OK
+        assert "method=exact-enumeration" in out
+
+    def test_verifier_budget_env_var_does_not_reach_sweep(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("TREEFACTOR_BUDGET", "5")
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("process = majority\nd = 3\nk = 1:2\nmethod = exact\n")
+        code, out, _ = run(capsys, "--format", "json", "sweep", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert [r["method"] for r in json.loads(out)["rows"]] == ["exact-enumeration"] * 2
+
+
+class TestMeasureInputs:
+    """Bad measure inputs fail before any measurement runs."""
+
+    @pytest.fixture
+    def measured(self, monkeypatch):
+        calls = []
+
+        def refuse(name):
+            def measure(*args, **kwargs):
+                calls.append(name)
+                pytest.fail(f"{name} ran on inputs that should have been refused")
+            return measure
+
+        for name in ("exact_joint", "mc_joint", "gaussian_sign_measure", "listing_normalized_mi"):
+            monkeypatch.setattr(cli, name, refuse(name))
+        return calls
+
+    @pytest.mark.parametrize("process", ["majority", "listing", "gaussian-sign"])
+    def test_k_below_one(self, capsys, measured, process):
+        code, _, err = run(capsys, "measure", "--process", process, "--d", "3", "--k", "0",
+                           "--R", "1", "--samples", "20000", "--seed", "7")
+        assert code == EXIT_USAGE
+        assert "k must be >= 1, got 0" in err
+        assert measured == []
+
+    @pytest.mark.parametrize("process", ["majority", "gaussian-sign"])
+    def test_monte_carlo_without_samples(self, capsys, measured, process):
+        code, out, err = run(capsys, "measure", "--process", process, "--d", "3", "--k", "1",
+                             "--method", "mc", "--samples", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--method mc needs --samples >= 1, got 0" in err
+        assert measured == []
 
 
 class TestSharpness:

@@ -4,7 +4,10 @@
 ``simple_cycles``.  The sparse phase, which runs each round as array
 operations on precomputed balls, is checked against a per-vertex
 breadth-first search over the same rank draws: labels, colors and round
-counts must be identical, because both consume the same draws.
+counts must be identical, because both consume the same draws.  The ball
+table's depths are checked against networkx's shortest-path lengths, and
+the contract checks, counts on that table, against the per-vertex
+searches they replaced, on valid and on corrupted outputs.
 """
 
 import json
@@ -21,7 +24,8 @@ from treefactor.processes import (
     FiniteGraphInstance,
     _balls,
     _sparse_phase,
-    _within_distance,
+    check_sparse_coloring,
+    check_sparse_set,
     random_regular_graph,
     short_cycle_count,
     sparse_coloring,
@@ -30,6 +34,21 @@ from treefactor.processes import (
 )
 
 MAX_BOUND = 7
+
+
+def _within_distance(adjacency, sources, radius):
+    """Vertices within ``radius`` of any source, by breadth-first search."""
+    seen = set(sources)
+    frontier = list(sources)
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for nb in adjacency[x]:
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        frontier = nxt
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +259,113 @@ class TestSparsePhase:
 
     def test_balls_are_closed_and_symmetric(self):
         G = GRAPHS["tree_ball_3_6"]()
-        indptr, indices = _balls(G, 2)
+        indptr, indices, _ = _balls(G, 2)
         balls = [set(indices[indptr[v]:indptr[v + 1]].tolist()) for v in range(G.n)]
         for v, ball in enumerate(balls):
             assert ball == _within_distance(G.adjacency, [v], 2)
             assert all(v in balls[w] for w in ball)
+
+
+# ---------------------------------------------------------------------------
+# The ball table and the contract checks against the per-vertex searches
+# ---------------------------------------------------------------------------
+
+
+def reference_level_order(G, v, radius):
+    """Breadth-first search from v in adjacency order, one level at a time."""
+    order, frontier, seen = [v], [v], {v}
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for w in G.adjacency[x]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        order += nxt
+        frontier = nxt
+    return order
+
+
+def reference_check_sparse_set(G, labels, separation):
+    ones = [i for i, lab in enumerate(labels) if lab == 1]
+    sep_ok = all(
+        not any(w != v and labels[w] == 1 for w in _within_distance(G.adjacency, [v], separation))
+        for v in ones
+    )
+    dom_ok = len(_within_distance(G.adjacency, ones, separation)) == G.n if ones else G.n == 0
+    return sep_ok, dom_ok
+
+
+def reference_check_sparse_coloring(G, colors, separation):
+    return all(
+        not any(w != v and colors[w] == colors[v]
+                for w in _within_distance(G.adjacency, [v], separation))
+        for v in range(G.n)
+    )
+
+
+TABLE_GRAPHS = {
+    **{f"rrg200-{seed}": (lambda seed=seed: random_regular_graph(200, 3, seed)) for seed in range(4)},
+    "tree_ball_3_4": lambda: tree_ball_graph(3, 4),
+}
+
+
+class TestBallTable:
+    @pytest.mark.parametrize("graph", sorted(TABLE_GRAPHS))
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4])
+    def test_depths_are_networkx_distances(self, graph, radius):
+        nx = pytest.importorskip("networkx")
+        G = TABLE_GRAPHS[graph]()
+        indptr, indices, depth = _balls(G, radius)
+        graph_nx = nx_graph(G)
+        for v in range(G.n):
+            ball = indices[indptr[v]:indptr[v + 1]].tolist()
+            depths = depth[indptr[v]:indptr[v + 1]].tolist()
+            assert dict(zip(ball, depths)) == nx.single_source_shortest_path_length(
+                graph_nx, v, cutoff=radius
+            )
+            assert len(set(ball)) == len(ball)
+            assert ball == reference_level_order(G, v, radius)
+
+    @pytest.mark.parametrize("graph", sorted(TABLE_GRAPHS))
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_checks_match_the_searches_on_valid_and_corrupted_outputs(self, graph, L):
+        G = TABLE_GRAPHS[graph]()
+        rng = np.random.default_rng(L)
+        labels = list(sparse_set_labeling(G, L, seed=L).labels)
+        colors = list(sparse_coloring(G, L, seed=L).colors)
+        assert check_sparse_set(G, labels, L) == (True, True)
+        assert check_sparse_coloring(G, colors, L)
+        for v in rng.choice(G.n, size=10, replace=False).tolist():
+            flipped = list(labels)
+            flipped[v] = 1 - flipped[v]
+            got = check_sparse_set(G, flipped, L)
+            # A new 1 sees the 1 that dominated it; a removed 1 leaves itself undominated.
+            assert got == ((False, True) if flipped[v] == 1 else (True, False))
+            assert got == reference_check_sparse_set(G, flipped, L)
+            copied = list(colors)
+            copied[v] = colors[G.adjacency[v][0]]
+            assert check_sparse_coloring(G, copied, L) is False
+            assert reference_check_sparse_coloring(G, copied, L) is False
+
+    @pytest.mark.parametrize("graph", sorted(TABLE_GRAPHS))
+    def test_checks_match_the_searches_on_random_inputs(self, graph):
+        G = TABLE_GRAPHS[graph]()
+        rng = np.random.default_rng(3)
+        for L in (1, 2):
+            for density in (0.02, 0.1, 0.5):
+                labels = (rng.random(G.n) < density).astype(int).tolist()
+                assert check_sparse_set(G, labels, L) == reference_check_sparse_set(G, labels, L)
+            for palette in (10, 40, 400):
+                colors = rng.integers(1, palette + 1, size=G.n).tolist()
+                assert check_sparse_coloring(G, colors, L) == reference_check_sparse_coloring(
+                    G, colors, L
+                )
+
+    def test_empty_graph_passes_both_checks(self):
+        G = FiniteGraphInstance(0, 3, ())
+        assert check_sparse_set(G, [], 2) == (True, True)
+        assert check_sparse_coloring(G, [], 2) is True
 
 
 def test_sparse_cli_does_not_load_networkx():

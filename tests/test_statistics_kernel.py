@@ -24,10 +24,9 @@ from treefactor.information import (
     mutual_information,
     normalized_mi,
 )
+from treefactor.bounds import normalized_mi_bound
 from treefactor.processes import (
     SparseColoringResult,
-    _vertices_at_distance,
-    _within_distance,
     listing_finite_N_mi,
     measurement_from_joint,
     random_regular_graph,
@@ -196,6 +195,36 @@ def test_one_multinomial_draw_per_measurement(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _within_distance(adjacency, sources, radius):
+    """Vertices within ``radius`` of any source, by breadth-first search."""
+    seen = set(sources)
+    frontier = list(sources)
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for nb in adjacency[x]:
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        frontier = nxt
+    return seen
+
+
+def _vertices_at_distance(G, u, k):
+    """The vertices at distance k from u, in breadth-first order."""
+    depth = {u: 0}
+    frontier = [u]
+    for level in range(1, k + 1):
+        nxt = []
+        for x in frontier:
+            for nb in G.adjacency[x]:
+                if nb not in depth:
+                    depth[nb] = level
+                    nxt.append(nb)
+        frontier = nxt
+    return frontier
+
+
 def ref_listing(radius, k, n_labels, coloring, resamples=DEFAULT_BOOTSTRAP_RESAMPLES):
     G = coloring.graph
     colors = coloring.colors
@@ -245,12 +274,12 @@ def greedy_coloring(G, separation, seed):
     return SparseColoringResult(G, separation, tuple(colors), max(colors), 0, seed)
 
 
-@pytest.mark.parametrize("radius", [0, 1])
-def test_listing_matches_dict_reference(radius):
-    k = 1
+@pytest.mark.parametrize("radius,k", [(0, 1), (1, 1), (1, 2)], ids=["0", "1", "R1-k2"])
+def test_listing_matches_dict_reference(radius, k):
     G = random_regular_graph(200, 3, seed=5)
     coloring = greedy_coloring(G, 2 * radius + k, seed=11)
     pm = listing_finite_N_mi(3, radius, k, 16, coloring)
     nmi, stderr = ref_listing(radius, k, 16, coloring)
     assert pm.nmi.value == pytest.approx(nmi, rel=1e-12)
     assert pm.nmi.stderr == pytest.approx(stderr, rel=1e-12)
+    assert pm.nmi.value <= float(normalized_mi_bound(3, k)) + 3 * pm.nmi.stderr
