@@ -246,8 +246,11 @@ def _measure_dispatch(args) -> tuple[list[dict], list[str], int]:
 
 
 def cmd_measure(args) -> int:
+    if args.dump_region and args.process not in RULES:
+        raise ValueError(f"--dump-region needs a block-rule process "
+                         f"({', '.join(sorted(RULES))}), got {args.process!r}")
     rows, lines, code = _measure_dispatch(args)
-    if args.dump_region and args.process in RULES:
+    if args.dump_region:
         rule = RULES[args.process](args.d)
         u = origin(args.d)
         region = region_from_balls(
@@ -289,7 +292,7 @@ _SWEEP_KEYS = {
     "samples": (int, "int"),
     "seed": (int, "int"),
     "method": (str, "str"),
-    "eps": (float, "float"),
+    "eps": (_positive_float, "a positive finite float"),
     "D": (int, "int"),
     "tail_tol": (_positive_float, "a positive finite float"),
 }
@@ -382,6 +385,10 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
+    if args.kmax < 1:
+        raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     spec = GaussianSignSpec(args.d, args.eps, args.D, tail_tol=args.tail_tol)
     rows = []
     lines = [f"gaussian-sign d={args.d} eps={args.eps} D={args.D}"]

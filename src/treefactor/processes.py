@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -259,26 +260,19 @@ def measurement_from_joint(
 
 def _two_balls(d: int, radius: int, k: int) -> tuple[BallRegion, list[int], list[int], tuple]:
     """The union of the radius-``radius`` balls at u and v = k steps from u,
-    each ball as region indices breadth-first from its root, and the balls'
-    common shape: the children of each position, as positions in the ball."""
+    each ball as region indices breadth-first from its root, and the shape
+    that every such ball has in that order: the children of each position,
+    as positions in the ball."""
     u = origin(d)
     v = vertex_at_distance(u, k)
     region = region_from_balls([(u, radius), (v, radius)], budget=DEFAULT_REGION_VERTEX_BUDGET)
-    walks = []
-    for root in (region.index_of(u), region.index_of(v)):
-        ball, parent, depth, shape = [root], [-1], [0], []
-        for i, x in enumerate(ball):  # the list grows while it is read: breadth-first
-            kids = []
-            if depth[i] < radius:
-                kids = [nb for nb in region.neighbors[x] if nb != parent[i]]
-            shape.append(tuple(range(len(ball), len(ball) + len(kids))))
-            ball.extend(kids)
-            parent.extend([x] * len(kids))
-            depth.extend([depth[i] + 1] * len(kids))
-        walks.append((ball, tuple(shape)))
-    (ball_u, shape), (ball_v, shape_v) = walks
-    if shape_v != shape:
-        raise InvariantError("the radius-R balls at u and v differ in shape")
+    ball_u, ball_v = (list(ball) for ball in region.balls)
+    # The root has d children and every other inner position d-1, each block
+    # right after the one before, because a ball is listed level by level.
+    fanout = [d] + [d - 1] * (ball_size(d, radius - 1) - 1) if radius else []
+    fanout += [0] * (len(ball_u) - len(fanout))
+    starts = accumulate(fanout, initial=1)
+    shape = tuple(tuple(range(s, s + f)) for s, f in zip(starts, fanout))
     return region, ball_u, ball_v, shape
 
 
@@ -725,7 +719,6 @@ def listing_finite_N_mi(
     k: int,
     n_labels: int,
     coloring: SparseColoringResult,
-    bootstrap_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
 ) -> ProcessMeasurement:
     """Finite-alphabet listing process: each vertex reports the multiset
     of (color, label) pairs in its radius-R ball, labels i.i.d. uniform on
@@ -786,7 +779,7 @@ def listing_finite_N_mi(
     rng = np.random.default_rng([0xC0105, coloring.seed])
     resampled = [
         ratio_from(rng.integers(0, len(pairs), size=len(pairs)))[0]
-        for _ in range(bootstrap_resamples)
+        for _ in range(DEFAULT_BOOTSTRAP_RESAMPLES)
     ]
     nmi_stderr = float(np.std(resampled, ddof=1))
 
@@ -824,8 +817,8 @@ class GaussianSignSpec:
     def __post_init__(self):
         if self.d < 3:
             raise ValueError("d must be >= 3")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be a positive finite number, got {self.eps}")
         if self.truncation_radius < 1:
             raise ValueError("truncation radius must be >= 1")
         tol = self.tail_tol

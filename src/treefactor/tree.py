@@ -76,11 +76,14 @@ def dist(u: TreeVertex, v: TreeVertex) -> int:
 @dataclass(frozen=True)
 class BallRegion:
     """A union of balls, stored as explicit vertices plus tree edges;
-    ``neighbors[i]`` lists the neighbours of vertex i in increasing order."""
+    ``neighbors[i]`` lists the neighbours of vertex i in increasing order,
+    and ``balls[c]`` lists the vertices of the c-th centre's ball in the
+    breadth-first order of ``_ball_words``."""
 
     vertices: tuple[TreeVertex, ...]
     adjacency: tuple[tuple[int, int], ...]
     centers: tuple[tuple[TreeVertex, int], ...]
+    balls: tuple[tuple[int, ...], ...]
 
     def index_of(self, v: TreeVertex) -> int:
         return self._index[v.address.letters]
@@ -121,12 +124,12 @@ def region_from_balls(
         raise BudgetExceededError(
             f"region could reach {total_cap} vertices, over the budget of {budget}"
         )
-    addresses: set[tuple[int, ...]] = set()
+    balls = []
     for center, radius in centers:
         if center.address.sig != sig:
             raise ValueError("centers live in trees with different signatures")
-        addresses.update(_ball_words(sig, radius, center.address.letters))
-    ordered = sorted(addresses, key=_letters_sort_key)
+        balls.append(_ball_words(sig, radius, center.address.letters))
+    ordered = sorted(set().union(*balls), key=_letters_sort_key)
     index = {w: i for i, w in enumerate(ordered)}
     edges = []
     alphabet = sig.alphabet()
@@ -136,7 +139,8 @@ def region_from_balls(
             if j is not None and i < j:
                 edges.append((i, j))
     vertices = tuple(TreeVertex(Word(w, sig)) for w in ordered)
-    return BallRegion(vertices, tuple(sorted(edges)), tuple(centers))
+    balls = tuple(tuple(index[w] for w in words) for words in balls)
+    return BallRegion(vertices, tuple(sorted(edges)), tuple(centers), balls)
 
 
 def ball(center: TreeVertex, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> BallRegion:

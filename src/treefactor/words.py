@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_SEQUENCE_BUDGET = 10_000_000
@@ -370,6 +371,23 @@ class VerificationReport:
         return f"{status} ({scope}, {self.checked} sequences checked){extra}"
 
 
+def _products(factors: Sequence[tuple[int, ...]], inverse_of: Sequence[int], r: int, n_max: int):
+    """Every sequence of 1..n_max factor indices in which no factor is
+    followed by its formal inverse ``inverse_of[i]``, depth-first, each with
+    the reduced product before and after its last factor."""
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] if n_max > 0 else []
+    while stack:
+        seq, prod = stack.pop()
+        for i, g in enumerate(factors):
+            if seq and i == inverse_of[seq[-1]]:
+                continue
+            new_seq = seq + (i,)
+            new_prod = _multiply_raw(prod, g, r)
+            yield new_seq, prod, new_prod
+            if len(new_seq) < n_max:
+                stack.append((new_seq, new_prod))
+
+
 def verify_free_claim(
     s0: GeneratingSet, n_max: int, budget: int = DEFAULT_SEQUENCE_BUDGET
 ) -> VerificationReport:
@@ -387,77 +405,61 @@ def verify_free_claim(
 
     Admissibility is formal (by position in the symmetrized list), so a
     degenerate set containing a word and its inverse as distinct members
-    is caught rather than skipped.
+    is caught rather than skipped.  At most ``budget`` sequences are checked.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     gens = [w.letters for w in s0.symmetrized()]
     rank = s0.claimed_rank
-    n_gens = len(gens)
-    r = s0.sig.r
+    inverse_of = list(range(rank, 2 * rank)) + list(range(rank))
     l = s0.half_length
     odd = s0.k % 2 == 1
 
-    def formal_inverse(i: int) -> int:
-        return i + rank if i < rank else i - rank
-
     checked = 0
     min_len: Optional[int] = None
+    for seq, prod, new_prod in _products(gens, inverse_of, s0.sig.r, n_max):
+        if checked >= budget:
+            return VerificationReport(
+                passed=True,
+                complete=False,
+                checked=checked,
+                n_max=n_max,
+                min_product_length=min_len,
+                message=f"budget of {budget} sequences exceeded; partial result",
+            )
+        checked += 1
+        if min_len is None or len(new_prod) < min_len:
+            min_len = len(new_prod)
 
-    # Iterative DFS over (sequence, reduced product) states.
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    while stack:
-        seq, prod = stack.pop()
-        for i in range(n_gens):
-            if seq and i == formal_inverse(seq[-1]):
-                continue
-            if checked >= budget:
-                return VerificationReport(
-                    passed=True,
-                    complete=False,
-                    checked=checked,
-                    n_max=n_max,
-                    min_product_length=min_len,
-                    message=f"budget of {budget} sequences exceeded; partial result",
-                )
-            checked += 1
-            new_seq = seq + (i,)
-            new_prod = _multiply_raw(prod, gens[i], r)
-            if min_len is None or len(new_prod) < min_len:
-                min_len = len(new_prod)
-
-            n = len(new_seq)
-            g = gens[i]
-            failure = None
-            if not new_prod:
-                failure = "product reduces to the identity"
-            elif odd:
-                if len(new_prod) < 2 * l + n:
-                    failure = f"product length {len(new_prod)} < {2 * l + n}"
-                elif new_prod[-(l + 1):] != g[-(l + 1):]:
-                    failure = "last l+1 letters differ from the last factor"
+        n = len(seq)
+        i = seq[-1]
+        g = gens[i]
+        failure = None
+        if not new_prod:
+            failure = "product reduces to the identity"
+        elif odd:
+            if len(new_prod) < 2 * l + n:
+                failure = f"product length {len(new_prod)} < {2 * l + n}"
+            elif new_prod[-(l + 1):] != g[-(l + 1):]:
+                failure = "last l+1 letters differ from the last factor"
+        else:
+            if len(new_prod) < len(prod):
+                failure = "product length decreased"
             else:
-                if len(new_prod) < len(prod):
-                    failure = "product length decreased"
-                else:
-                    suffix = l + 1 if i < rank else l
-                    if new_prod[-suffix:] != g[-suffix:]:
-                        failure = f"last {suffix} letters differ from the last factor"
-            if failure is not None:
-                witness = tuple(
-                    word_to_str(Word(gens[j], s0.sig)) for j in new_seq
-                )
-                return VerificationReport(
-                    passed=False,
-                    complete=False,
-                    checked=checked,
-                    n_max=n_max,
-                    min_product_length=min_len,
-                    counterexample=witness,
-                    message=failure,
-                )
-            if n < n_max:
-                stack.append((new_seq, new_prod))
+                suffix = l + 1 if i < rank else l
+                if new_prod[-suffix:] != g[-suffix:]:
+                    failure = f"last {suffix} letters differ from the last factor"
+        if failure is not None:
+            witness = tuple(word_to_str(Word(gens[j], s0.sig)) for j in seq)
+            return VerificationReport(
+                passed=False,
+                complete=False,
+                checked=checked,
+                n_max=n_max,
+                min_product_length=min_len,
+                counterexample=witness,
+                message=failure,
+            )
 
     return VerificationReport(
         passed=True,
@@ -531,24 +533,19 @@ def verify_coset_factorization(
     l = k // 2
     palindromes = _all_palindromes(sig, k)
     pal_letters = [w.letters for w in palindromes]
-    pal_inverse_index = {
-        w: pal_letters.index(_inverse_raw(w, sig.r)) for w in pal_letters
-    }
+    inverse_of = [pal_letters.index(_inverse_raw(w, sig.r)) for w in pal_letters]
     remainders = _ball_words(sig, l)
     found: dict[tuple[int, ...], list] = {w: [] for w in _ball_words(sig, max_length)}
 
+    # Products only grow (length >= 2l+n), so products of more than n_cap
+    # palindromes cannot re-enter the target ball after multiplying by a
+    # remainder of length <= l.
     n_cap = max(0, max_length - l)
     checked = 0
-    # Forward enumeration: products of up to n_cap palindromes, then a
-    # remainder; only products that stay within the target ball matter.
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    while stack:
-        seq, prod = stack.pop()
-        # Products only grow (length >= 2l+n), so long ones cannot re-enter
-        # the ball after multiplying by a remainder of length <= l.
+    prefixes = chain([((), (), ())], _products(pal_letters, inverse_of, sig.r, n_cap))
+    for seq, _, prod in prefixes:
         for t in remainders:
-            checked += 1
-            if checked > budget:
+            if checked >= budget:
                 return VerificationReport(
                     passed=True,
                     complete=False,
@@ -556,14 +553,10 @@ def verify_coset_factorization(
                     n_max=n_cap,
                     message=f"budget of {budget} products exceeded; partial result",
                 )
+            checked += 1
             g = _multiply_raw(prod, t, sig.r)
             if g in found:
                 found[g].append((seq, t))
-        if len(seq) < n_cap:
-            for i, s in enumerate(pal_letters):
-                if seq and pal_inverse_index[pal_letters[seq[-1]]] == i:
-                    continue
-                stack.append((seq + (i,), _multiply_raw(prod, s, sig.r)))
 
     for g_letters, factorizations in sorted(found.items()):
         g = Word(g_letters, sig)

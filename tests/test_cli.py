@@ -267,6 +267,15 @@ class TestSweep:
         assert f"{cfg}:2: not UTF-8 text" in err
         assert out == ""
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
+    def test_eps_must_be_positive_and_finite(self, capsys, tmp_path, eps):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"process = gaussian-sign\nd = 3\nk = 1\nmethod = exact\neps = {eps}\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert f"{cfg}:5: eps must be a positive finite float, got {eps!r}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_tail_tol_must_be_positive_and_finite(self, capsys, tmp_path, tol):
         cfg = tmp_path / "sweep.cfg"
@@ -417,6 +426,26 @@ class TestMeasureInputs:
         assert "--method mc needs --samples >= 1, got 0" in err
         assert measured == []
 
+    @pytest.mark.parametrize("process", ["listing", "gaussian-sign"])
+    def test_dump_region_needs_a_block_rule(self, capsys, measured, tmp_path, process):
+        target = tmp_path / "region.json"
+        code, out, err = run(capsys, "measure", "--process", process, "--d", "3", "--k", "1",
+                             "--R", "1", "--method", "exact", "--dump-region", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--dump-region needs a block-rule process (identity, majority, parity)" in err
+        assert measured == []
+        assert not target.exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-0.25"])
+    def test_eps_must_be_positive_and_finite(self, capsys, eps):
+        # eps = nan used to print corr 1 and I = log 2, then fail the verdict.
+        code, out, err = run(capsys, "measure", "--process", "gaussian-sign", "--d", "3",
+                             "--k", "1", "--eps", eps, "--method", "exact")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "eps must be a positive finite number" in err
+
 
 class TestSharpness:
     def test_table(self, capsys):
@@ -450,6 +479,19 @@ class TestGaussian:
         )
         assert code == EXIT_USAGE
         assert "truncation radius" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--eps", "nan", "--kmax", "2"], "eps must be a positive finite number"),
+        (["--eps", "0.25", "--kmax", "0"], "--kmax must be >= 1, got 0"),
+        (["--eps", "0.25", "--kmax", "2", "--samples", "-1"], "--samples must be >= 0, got -1"),
+    ])
+    def test_bad_inputs_rejected(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "gaussian_sign_measure",
+                            lambda *a, **kw: pytest.fail("measured on refused inputs"))
+        code, out, err = run(capsys, "gaussian", "--d", "3", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
 
     def test_nan_truncation_tolerance_rejected(self, capsys):
         code, out, err = run(

@@ -270,7 +270,7 @@ class TestListing:
         target = listing_normalized_mi(3, 1, 1)
         gaps = []
         for n_labels in (2, 16, 256):
-            pm = listing_finite_N_mi(3, 1, 1, n_labels, coloring, bootstrap_resamples=40)
+            pm = listing_finite_N_mi(3, 1, 1, n_labels, coloring)
             gaps.append(abs(pm.nmi.value - target))
             assert pm.joint is None
             assert pm.nmi.stderr > 0
@@ -337,6 +337,12 @@ class TestGaussianCov:
         # nan used to skip the truncation check; a negative value blamed D.
         with pytest.raises(ValueError, match="tail_tol must be a positive finite number"):
             GaussianSignSpec(3, 0.25, 8, tail_tol=tol)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.25, 0.0])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        # nan used to pass and give corr 1 and I = log 2 at every distance.
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            GaussianSignSpec(3, eps, 8)
 
 
 def _common_prefix(a, b):

@@ -17,8 +17,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from treefactor import processes
-from treefactor.errors import BudgetExceededError, InvariantError
+from treefactor.errors import BudgetExceededError
 from treefactor.information import JointDistribution, joint_from_counts
 from treefactor.processes import (
     DEFAULT_ENUM_BUDGET,
@@ -35,7 +34,7 @@ from treefactor.processes import (
     measurement_from_joint,
     parity_rule,
 )
-from treefactor.tree import origin, region_from_balls, vertex_at_distance
+from treefactor.tree import ball_size, origin, region_from_balls, vertex_at_distance
 
 UNIFORM_RULES = [identity_rule, majority_rule, parity_rule]
 
@@ -286,15 +285,19 @@ class TestEvaluationCount:
         region, ball_u, ball_v, shape = _two_balls(d, radius, k)
         ref = RefSetup(d, radius, k)
         assert region == ref.region
-        assert (ball_u, shape) == ref_ball(ref.root_u, ref.children_u)
-        assert (ball_v, shape) == ref_ball(ref.root_v, ref.children_v)
-        assert len(ball_u) == len(ball_v) == len(set(ball_u))
-
-    def test_balls_of_different_shape_raise(self, monkeypatch):
-        # A region holding only u's ball cuts the ball at v short.
-        monkeypatch.setattr(
-            processes, "region_from_balls",
-            lambda centers, budget: region_from_balls(centers[:1], budget=budget),
-        )
-        with pytest.raises(InvariantError, match="differ in shape"):
-            _two_balls(3, 1, 1)
+        rng = np.random.default_rng([d, radius, k])
+        for ball, root, children in [
+            (ball_u, ref.root_u, ref.children_u),
+            (ball_v, ref.root_v, ref.children_v),
+        ]:
+            assert ball[0] == root
+            assert len(set(ball)) == len(ball) == ball_size(d, radius)
+            for position, kids in enumerate(shape):
+                for kid in kids:
+                    assert ball[kid] in region.neighbors[ball[position]]
+            ref_order, ref_shape = ref_ball(root, children)
+            for _ in range(20):
+                labels = rng.integers(0, 3, size=len(region.vertices))
+                assert canonical_ball_code(labels[ball], 0, shape) == canonical_ball_code(
+                    labels[ref_order], 0, ref_shape
+                )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from treefactor.tree import ball_size
 from treefactor.words import (
     CONSTRUCTION_EVEN_K,
+    DEFAULT_SEQUENCE_BUDGET,
     FreeProductSignature,
     GeneratingSet,
     Letter,
@@ -368,3 +369,29 @@ class TestCosetFactorization:
             verify_coset_factorization(3, 3, 2)
         with pytest.raises(ValueError):
             verify_coset_factorization(4, 2, 2)
+
+
+VERIFIERS = {
+    "free-claim": lambda budget: verify_free_claim(build_generators(3, 3), 3, budget=budget),
+    "coset": lambda budget: verify_coset_factorization(4, 3, 4, budget=budget),
+}
+
+
+class TestBudgetRule:
+    """Both verifiers stop after ``budget`` items and report that many."""
+
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    @pytest.mark.parametrize("budget", [0, 10])
+    def test_reports_exactly_the_budget(self, name, budget):
+        report = VERIFIERS[name](budget)
+        assert report.checked == budget
+        assert report.passed and not report.complete
+        assert "budget" in report.message
+
+    @pytest.mark.parametrize("name, complete_count", [("free-claim", 186), ("coset", 7985)])
+    def test_a_budget_of_the_complete_count_completes(self, name, complete_count):
+        assert VERIFIERS[name](DEFAULT_SEQUENCE_BUDGET).checked == complete_count
+        report = VERIFIERS[name](complete_count)
+        assert report.passed and report.complete
+        assert report.checked == complete_count
+        assert not VERIFIERS[name](complete_count - 1).complete
