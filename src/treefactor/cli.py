@@ -26,6 +26,7 @@ from .processes import (
     DEFAULT_ENUM_BUDGET,
     RULES,
     GaussianSignSpec,
+    _two_balls,
     exact_joint,
     gaussian_sign_measure,
     listing_normalized_mi,
@@ -38,7 +39,7 @@ from .processes import (
     short_cycle_count,
 )
 from .information import MeasuredQuantity
-from .tree import ball_size, origin, region_from_balls, vertex_at_distance
+from .tree import ball_size
 from .words import (
     DEFAULT_SEQUENCE_BUDGET,
     build_generators,
@@ -61,14 +62,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEQUENCE_BUDGET
+def _budget(spec: str) -> int:
+    """The type of every --budget flag: an integer >= 0."""
     try:
-        return int(raw)
+        value = int(spec)
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {spec!r}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -98,13 +100,24 @@ def _emit(rows: list[dict], lines: list[str], fieldnames: list[str], args) -> No
         sys.stdout.write(payload)
 
 
-def _verdict_fields(verdicts) -> dict:
-    out = {}
-    for v in verdicts:
-        key = v.name.split(" (")[0].replace(" ", "_").replace("-", "_")
-        out[f"{key}_bound"] = v.bound
-        out[f"{key}_verdict"] = "PASS" if v.passed else "FAIL"
-    return out
+# The bound and verdict columns of the universal and of the fixed-process verdict.
+_VERDICT_FIELDS = [
+    "universal_normalized_MI_bound_bound", "universal_normalized_MI_bound_verdict",
+    "fixed_process_MI_bound_bound", "fixed_process_MI_bound_verdict",
+]
+
+
+def _add_verdicts(row: dict, lines: list[str], d: int, k: int, nmi, mi=None, m=None) -> int:
+    """Add the universal verdict on ``nmi`` and, given ``mi``, the fixed-process verdict
+    for ``m`` output values to ``row`` and ``lines``; return their exit status."""
+    verdicts = [bounds_mod.universal_verdict(d, k, nmi)]
+    if mi is not None:
+        verdicts.append(bounds_mod.fixed_process_verdict(d, k, m, mi))
+    for i, v in enumerate(verdicts):
+        row[_VERDICT_FIELDS[2 * i]] = v.bound
+        row[_VERDICT_FIELDS[2 * i + 1]] = "PASS" if v.passed else "FAIL"
+        lines.append(f"  {v}")
+    return EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERDICT_FAILED
 
 
 def cmd_generators(args) -> int:
@@ -146,12 +159,6 @@ def cmd_factorization(args) -> int:
     return EXIT_OK if report.passed and report.complete else EXIT_VERDICT_FAILED
 
 
-def _measurement_row(pm, verdicts) -> dict:
-    row = pm.to_row()
-    row.update(_verdict_fields(verdicts))
-    return row
-
-
 def _measure_block_rule(args) -> tuple[list[dict], list[str], int]:
     rule = RULES[args.process](args.d)
     if args.R is not None and args.R != rule.radius:
@@ -167,17 +174,13 @@ def _measure_block_rule(args) -> tuple[list[dict], list[str], int]:
                 raise
     if pm is None:
         pm = mc_joint(rule, args.d, args.k, args.samples, args.seed)
-    verdicts = [
-        bounds_mod.universal_verdict(args.d, args.k, pm.nmi),
-        bounds_mod.fixed_process_verdict(args.d, args.k, len(rule.output_values), pm.mi),
-    ]
-    row = _measurement_row(pm, verdicts)
+    row = pm.to_row()
     row["process"] = args.process
     lines = [
         f"measure process={args.process} d={args.d} k={args.k} method={pm.method}",
         f"  H={pm.entropy_v} I={pm.mi} I/H={pm.nmi}",
-    ] + [f"  {v}" for v in verdicts]
-    code = EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERDICT_FAILED
+    ]
+    code = _add_verdicts(row, lines, args.d, args.k, pm.nmi, pm.mi, len(rule.output_values))
     return [row], lines, code
 
 
@@ -185,8 +188,6 @@ def _measure_listing(args) -> tuple[list[dict], list[str], int]:
     if args.R is None:
         raise ValueError("the listing process needs --R")
     ratio = listing_normalized_mi(args.d, args.R, args.k)
-    nmi = MeasuredQuantity(ratio, 0.0, "closed-form")
-    verdicts = [bounds_mod.universal_verdict(args.d, args.k, nmi)]
     row = {
         "process": "listing",
         "d": args.d,
@@ -195,11 +196,8 @@ def _measure_listing(args) -> tuple[list[dict], list[str], int]:
         "method": "closed-form",
         "nmi": ratio,
     }
-    row.update(_verdict_fields(verdicts))
-    lines = [
-        f"measure process=listing d={args.d} k={args.k} R={args.R}: I/H -> {ratio!r}",
-    ] + [f"  {v}" for v in verdicts]
-    code = EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERDICT_FAILED
+    lines = [f"measure process=listing d={args.d} k={args.k} R={args.R}: I/H -> {ratio!r}"]
+    code = _add_verdicts(row, lines, args.d, args.k, MeasuredQuantity(ratio, 0.0, "closed-form"))
     return [row], lines, code
 
 
@@ -207,17 +205,13 @@ def _measure_gaussian_sign(args) -> tuple[list[dict], list[str], int]:
     spec = GaussianSignSpec(args.d, args.eps, args.D, tail_tol=args.tail_tol)
     pm = gaussian_sign_measure(spec, args.k, args.samples if args.method != "exact" else 0,
                                seed=args.seed)
-    verdicts = [
-        bounds_mod.universal_verdict(args.d, args.k, pm.nmi),
-        bounds_mod.fixed_process_verdict(args.d, args.k, 2, pm.mi),
-    ]
-    row = _measurement_row(pm, verdicts)
+    row = pm.to_row()
     row["process"] = "gaussian-sign"
     lines = [
         f"measure process=gaussian-sign d={args.d} k={args.k} method={pm.method}",
         f"  I={pm.mi} corr={pm.corr}",
-    ] + [f"  {v}" for v in verdicts]
-    code = EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERDICT_FAILED
+    ]
+    code = _add_verdicts(row, lines, args.d, args.k, pm.nmi, pm.mi, 2)
     return [row], lines, code
 
 
@@ -225,9 +219,12 @@ _MEASURE_FIELDS = [
     "process", "d", "k", "R", "method", "samples", "seed",
     "H", "H_stderr", "I", "I_stderr", "nmi", "nmi_stderr",
     "corr", "corr_stderr",
-    "universal_normalized_MI_bound_bound", "universal_normalized_MI_bound_verdict",
-    "fixed_process_MI_bound_bound", "fixed_process_MI_bound_verdict",
-]
+] + _VERDICT_FIELDS
+
+# Defaults of the measure options, for the measure parser and every sweep row.
+_MEASURE_DEFAULTS = {
+    "R": None, "samples": 100_000, "seed": 0, "method": "auto", "eps": 0.25, "D": 8, "tail_tol": None,
+}
 
 
 def _measure_dispatch(args) -> tuple[list[dict], list[str], int]:
@@ -251,11 +248,7 @@ def cmd_measure(args) -> int:
                          f"({', '.join(sorted(RULES))}), got {args.process!r}")
     rows, lines, code = _measure_dispatch(args)
     if args.dump_region:
-        rule = RULES[args.process](args.d)
-        u = origin(args.d)
-        region = region_from_balls(
-            [(u, rule.radius), (vertex_at_distance(u, args.k), rule.radius)]
-        )
+        region = _two_balls(args.d, RULES[args.process](args.d).radius, args.k)[0]
         with open(args.dump_region, "w") as fh:
             fh.write(region.to_json() + "\n")
     _emit(rows, lines, _MEASURE_FIELDS, args)
@@ -339,19 +332,7 @@ def cmd_sweep(args) -> int:
     rows: list[dict] = []
     lines: list[str] = []
     for k in config["k"]:
-        ns = argparse.Namespace(
-            process=config["process"],
-            d=config["d"],
-            k=k,
-            R=config.get("R"),
-            samples=config.get("samples", 100_000),
-            seed=config.get("seed", 0),
-            method=config.get("method", "auto"),
-            eps=config.get("eps", 0.25),
-            D=config.get("D", 8),
-            tail_tol=config.get("tail_tol"),
-            budget=args.budget,
-        )
+        ns = argparse.Namespace(**{**_MEASURE_DEFAULTS, **config, "k": k, "budget": args.budget})
         k_rows, k_lines, code = _measure_dispatch(ns)
         rows.extend(k_rows)
         lines.extend(k_lines)
@@ -392,8 +373,7 @@ def cmd_gaussian(args) -> int:
     spec = GaussianSignSpec(args.d, args.eps, args.D, tail_tol=args.tail_tol)
     rows = []
     lines = [f"gaussian-sign d={args.d} eps={args.eps} D={args.D}"]
-    any_fail = False
-    scaled = []
+    worst = EXIT_OK
     for k in range(1, args.kmax + 1):
         pm = gaussian_sign_measure(spec, k, 0)
         extra = dict(pm.extra)
@@ -408,11 +388,8 @@ def cmd_gaussian(args) -> int:
             "mi_scaled": pm.mi.value * (args.d - 1) ** k,
             "mi_remainder": extra["mi_remainder"],
         }
-        verdicts = [
-            bounds_mod.universal_verdict(args.d, k, pm.nmi),
-            bounds_mod.fixed_process_verdict(args.d, k, 2, pm.mi),
-        ]
-        row.update(_verdict_fields(verdicts))
+        # The table's text leaves the verdict lines out.
+        worst = max(worst, _add_verdicts(row, [], args.d, k, pm.nmi, pm.mi, 2))
         if args.samples > 0:
             mc = gaussian_sign_measure(spec, k, args.samples, seed=args.seed)
             row.update(
@@ -426,8 +403,6 @@ def cmd_gaussian(args) -> int:
                 }
             )
         rows.append(row)
-        scaled.append(row["mi_scaled"])
-        any_fail = any_fail or not all(v.passed for v in verdicts)
         lines.append(
             f"  k={k}: corr={row['corr']:.6f} mi={row['mi']:.6e} "
             f"mi*(d-1)^k={row['mi_scaled']:.6f}"
@@ -435,19 +410,16 @@ def cmd_gaussian(args) -> int:
         )
     if args.kmax >= 3:
         ks = np.arange(2, args.kmax + 1, dtype=float)
-        fit = np.polyfit(np.log(ks), np.log(np.asarray(scaled[1:])), 1)
+        fit = np.polyfit(np.log(ks), np.log([row["mi_scaled"] for row in rows[1:]]), 1)
         lines.append(f"fitted growth exponent of mi*(d-1)^k over k=2..{args.kmax}: {fit[0]:.4f}")
         for row in rows:
             row["fitted_exponent"] = float(fit[0])
     fields = [
         "d", "k", "eps", "D", "rho", "corr", "mi", "mi_scaled", "mi_remainder",
         "mc_corr", "mc_corr_stderr", "mc_mi", "mc_mi_stderr", "samples", "seed",
-        "universal_normalized_MI_bound_bound", "universal_normalized_MI_bound_verdict",
-        "fixed_process_MI_bound_bound", "fixed_process_MI_bound_verdict",
-        "fitted_exponent",
-    ]
+    ] + _VERDICT_FIELDS + ["fitted_exponent"]
     _emit(rows, lines, fields, args)
-    return EXIT_VERDICT_FAILED if any_fail else EXIT_OK
+    return worst
 
 
 def cmd_sparse(args) -> int:
@@ -456,46 +428,33 @@ def cmd_sparse(args) -> int:
     if args.mode == "set":
         res = sparse_set_labeling(G, args.L, args.seed)
         sep_ok, dom_ok = check_sparse_set(G, res.labels, args.L)
-        row = {
-            "mode": "set",
-            "n": args.n,
-            "d": args.d,
-            "L": args.L,
-            "seed": args.seed,
-            "ones": len(res.ones),
-            "rounds": res.rounds,
-            "cycles_leq_6": cycles,
-            "separation": "OK" if sep_ok else "FAIL",
-            "domination": "OK" if dom_ok else "FAIL",
-        }
-        lines = [
-            f"sparse set n={args.n} d={args.d} L={args.L}: "
-            f"separation {'OK' if sep_ok else 'FAIL'}, domination {'OK' if dom_ok else 'FAIL'}, "
-            f"rounds={res.rounds}, ones={len(res.ones)}, short cycles={cycles}"
-        ]
+        counts = {"ones": len(res.ones)}
+        checks = {"separation": "OK" if sep_ok else "FAIL",
+                  "domination": "OK" if dom_ok else "FAIL"}
+        summary = (f"separation {checks['separation']}, domination {checks['domination']}, "
+                   f"rounds={res.rounds}, ones={len(res.ones)}")
         ok = sep_ok and dom_ok
     else:
         res = sparse_coloring(G, args.L, args.seed)
         sep_ok = check_sparse_coloring(G, res.colors, args.L)
         cap = ball_size(args.d, args.L)
-        row = {
-            "mode": "coloring",
-            "n": args.n,
-            "d": args.d,
-            "L": args.L,
-            "seed": args.seed,
-            "colors": res.color_count,
-            "color_cap": cap,
-            "rounds": res.rounds,
-            "cycles_leq_6": cycles,
-            "separation": "OK" if sep_ok else "FAIL",
-        }
-        lines = [
-            f"sparse coloring n={args.n} d={args.d} L={args.L}: "
-            f"colors={res.color_count} <= {cap}, separation {'OK' if sep_ok else 'FAIL'}, "
-            f"rounds={res.rounds}, short cycles={cycles}"
-        ]
+        counts = {"colors": res.color_count, "color_cap": cap}
+        checks = {"separation": "OK" if sep_ok else "FAIL"}
+        summary = (f"colors={res.color_count} <= {cap}, separation {checks['separation']}, "
+                   f"rounds={res.rounds}")
         ok = sep_ok and res.color_count <= cap
+    row = {
+        "mode": args.mode,
+        "n": args.n,
+        "d": args.d,
+        "L": args.L,
+        "seed": args.seed,
+        **counts,
+        "rounds": res.rounds,
+        "cycles_leq_6": cycles,
+        **checks,
+    }
+    lines = [f"sparse {args.mode} n={args.n} d={args.d} L={args.L}: {summary}, short cycles={cycles}"]
     _emit([row], lines, list(row.keys()), args)
     return EXIT_OK if ok else EXIT_VERDICT_FAILED
 
@@ -511,13 +470,15 @@ def build_parser() -> _Parser:
         help="accepted for compatibility and has no effect; runs are single-threaded",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # argparse runs a string default through the flag's type, as it does a given value.
+    verifier_budget = os.environ.get(BUDGET_ENV_VAR, DEFAULT_SEQUENCE_BUDGET)
 
     p = sub.add_parser("generators",
                        help="build a length-k free generating set and verify it")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=verifier_budget)
     p.set_defaults(func=cmd_generators)
 
     p = sub.add_parser("factorization",
@@ -525,7 +486,7 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=verifier_budget)
     p.set_defaults(func=cmd_factorization)
 
     p = sub.add_parser("measure",
@@ -533,22 +494,22 @@ def build_parser() -> _Parser:
     p.add_argument("--process", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--R", type=int, default=None)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=_MEASURE_METHODS, default="auto")
-    p.add_argument("--eps", type=float, default=0.25, help="gaussian-sign only")
-    p.add_argument("--D", type=int, default=8, help="gaussian-sign truncation radius")
-    p.add_argument("--tail-tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+    p.add_argument("--R", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--method", choices=_MEASURE_METHODS)
+    p.add_argument("--eps", type=float, help="gaussian-sign only")
+    p.add_argument("--D", type=int, help="gaussian-sign truncation radius")
+    p.add_argument("--tail-tol", type=float)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_ENUM_BUDGET,
                    help="label configurations exact enumeration may sum over")
     p.add_argument("--dump-region", help="write the measurement region as JSON")
-    p.set_defaults(func=cmd_measure)
+    p.set_defaults(func=cmd_measure, **_MEASURE_DEFAULTS)
 
     p = sub.add_parser("sweep",
                        help="run a measurement sweep from a key=value config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_ENUM_BUDGET,
                    help="label configurations exact enumeration may sum over")
     p.set_defaults(func=cmd_sweep)
 
@@ -586,8 +547,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-            args.budget = _default_budget()
         return args.func(args)
     except (TreeFactorError, ValueError, OSError) as exc:
         print(f"treefactor: error: {exc}", file=sys.stderr)

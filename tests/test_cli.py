@@ -20,13 +20,29 @@ from treefactor.cli import (
     main,
 )
 from treefactor.information import MeasuredQuantity
-from treefactor.processes import DEFAULT_ENUM_BUDGET
+from treefactor.processes import DEFAULT_ENUM_BUDGET, RULES, _two_balls
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse(monkeypatch, names):
+    """Make each named ``cli`` function fail the test if it is called; the
+    returned list records the calls."""
+    calls = []
+
+    def refusing(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            pytest.fail(f"{name} ran on inputs that should have been refused")
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cli, name, refusing(name))
+    return calls
 
 
 class TestGenerators:
@@ -149,6 +165,16 @@ class TestMeasure:
         assert payload["schema"] == 1
         assert len(payload["vertices"]) == 6
 
+    @pytest.mark.parametrize("process, k", [("majority", 1), ("majority", 2), ("majority", 3),
+                                            ("identity", 2)])
+    def test_dump_region_is_the_measured_region(self, capsys, tmp_path, process, k):
+        target = tmp_path / "region.json"
+        code, _, _ = run(capsys, "measure", "--process", process, "--d", "3", "--k", str(k),
+                         "--dump-region", str(target))
+        assert code == EXIT_OK
+        region = _two_balls(3, RULES[process](3).radius, k)[0]
+        assert target.read_text() == region.to_json() + "\n"
+
     def test_row_schema_carries_provenance_and_verdicts(self, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "measure", "--process", "majority",
@@ -190,6 +216,30 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["k"] for r in rows] == ["1", "2", "3"]
         assert all(r["universal_normalized_MI_bound_verdict"] == "PASS" for r in rows)
+
+    @pytest.mark.parametrize("process, ks, method, budget_flags", [
+        ("majority", [1, 2], None, []),
+        # A zero budget sends both to Monte Carlo with the default samples and seed.
+        ("majority", [1, 2], None, ["--budget", "0"]),
+        ("gaussian-sign", [1], "exact", []),
+    ], ids=["majority", "majority-zero-budget", "gaussian-sign-exact"])
+    def test_rows_equal_measure_rows(self, capsys, tmp_path, process, ks, method, budget_flags):
+        # Only process, d, k (and method) in the config: every other value is a default.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"process = {process}\nd = 3\nk = {','.join(map(str, ks))}\n"
+                       + (f"method = {method}\n" if method else ""))
+        code, out, _ = run(capsys, "--format", "json", "sweep", "--config", str(cfg),
+                           *budget_flags)
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        measure_flags = ["--method", method] if method else []
+        expected = []
+        for k in ks:
+            code, out, _ = run(capsys, "--format", "json", "measure", "--process", process,
+                               "--d", "3", "--k", str(k), *measure_flags, *budget_flags)
+            assert code == EXIT_OK
+            expected.extend(json.loads(out)["rows"])
+        assert rows == expected
 
     def test_comma_separated_distances(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -341,8 +391,10 @@ class TestBudgetEnvVar:
 
     def test_env_var_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("TREEFACTOR_BUDGET", "lots")
-        code, _, err = run(capsys, "generators", "--d", "3", "--k", "2")
-        assert code == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["generators", "--d", "3", "--k", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "'lots'" in capsys.readouterr().err
 
     def test_explicit_flag_beats_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("TREEFACTOR_BUDGET", "50")
@@ -352,6 +404,62 @@ class TestBudgetEnvVar:
         )
         assert code == EXIT_OK
         assert "INCOMPLETE" not in out
+
+
+_BUDGET_COMMANDS = [
+    ["generators", "--d", "4", "--k", "3"],
+    ["factorization", "--d", "4", "--k", "3", "--L", "3"],
+    ["measure", "--process", "majority", "--d", "3", "--k", "1"],
+    ["sweep", "--config", "sweep.cfg"],
+]
+
+
+class TestBudgetValidation:
+    """A budget, from a flag or from TREEFACTOR_BUDGET, is an integer >= 0;
+    anything else is a usage error before any verifier or measurement runs."""
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        return refuse(monkeypatch, ("build_generators", "verify_free_claim",
+                                    "verify_coset_factorization", "exact_joint", "mc_joint",
+                                    "gaussian_sign_measure", "listing_normalized_mi"))
+
+    @pytest.mark.parametrize("argv", _BUDGET_COMMANDS, ids=lambda argv: argv[0])
+    def test_negative_flag(self, capsys, refused, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", "-1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert out == ""
+        assert "argument --budget: must be an integer >= 0, got '-1'" in err
+        assert refused == []
+
+    @pytest.mark.parametrize("argv", _BUDGET_COMMANDS[:2], ids=lambda argv: argv[0])
+    def test_negative_env_var(self, capsys, monkeypatch, refused, argv):
+        monkeypatch.setenv("TREEFACTOR_BUDGET", "-1")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert out == ""
+        assert "got '-1'" in err
+        assert refused == []
+
+    @pytest.mark.parametrize("argv, expected_code, expected_text", [
+        (_BUDGET_COMMANDS[0], EXIT_VERDICT_FAILED, "INCOMPLETE, 0 sequences checked"),
+        (_BUDGET_COMMANDS[1], EXIT_VERDICT_FAILED, "INCOMPLETE"),
+        (_BUDGET_COMMANDS[2], EXIT_OK, "method=monte-carlo"),
+    ], ids=["generators", "factorization", "measure"])
+    def test_zero_flag_is_legal(self, capsys, argv, expected_code, expected_text):
+        code, out, _ = run(capsys, *argv, "--budget", "0")
+        assert code == expected_code
+        assert expected_text in out
+
+    def test_zero_env_var_is_legal(self, capsys, monkeypatch):
+        monkeypatch.setenv("TREEFACTOR_BUDGET", "0")
+        code, out, _ = run(capsys, *_BUDGET_COMMANDS[0])
+        assert code == EXIT_VERDICT_FAILED
+        assert "INCOMPLETE, 0 sequences checked" in out
 
 
 class TestEnumerationBudget:
@@ -397,17 +505,8 @@ class TestMeasureInputs:
 
     @pytest.fixture
     def measured(self, monkeypatch):
-        calls = []
-
-        def refuse(name):
-            def measure(*args, **kwargs):
-                calls.append(name)
-                pytest.fail(f"{name} ran on inputs that should have been refused")
-            return measure
-
-        for name in ("exact_joint", "mc_joint", "gaussian_sign_measure", "listing_normalized_mi"):
-            monkeypatch.setattr(cli, name, refuse(name))
-        return calls
+        return refuse(monkeypatch, ("exact_joint", "mc_joint", "gaussian_sign_measure",
+                                    "listing_normalized_mi"))
 
     @pytest.mark.parametrize("process", ["majority", "listing", "gaussian-sign"])
     def test_k_below_one(self, capsys, measured, process):
@@ -545,6 +644,26 @@ class TestSparse:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+class TestCsvColumns:
+    """The CSV header of each single-row command, in its column order."""
+
+    @pytest.mark.parametrize("argv, header", [
+        (["sparse", "--mode", "set", "--n", "300", "--d", "3", "--L", "2", "--seed", "4"],
+         "schema,mode,n,d,L,seed,ones,rounds,cycles_leq_6,separation,domination"),
+        (["sparse", "--mode", "coloring", "--n", "300", "--d", "3", "--L", "2", "--seed", "4"],
+         "schema,mode,n,d,L,seed,colors,color_cap,rounds,cycles_leq_6,separation"),
+        (["generators", "--d", "4", "--k", "3"],
+         "schema,d,k,rank,construction,free_claim,complete,sequences_checked,"
+         "min_product_length,elements"),
+        (["factorization", "--d", "4", "--k", "3", "--L", "3"],
+         "schema,d,k,L,result,complete,products_checked,ball_size,message"),
+    ], ids=["sparse-set", "sparse-coloring", "generators", "factorization"])
+    def test_header(self, capsys, argv, header):
+        code, out, _ = run(capsys, "--format", "csv", *argv)
+        assert code == EXIT_OK
+        assert out.split("\n")[0] == header
 
 
 class TestParsing:
