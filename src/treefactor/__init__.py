@@ -55,7 +55,6 @@ from .processes import (
 )
 from .tree import (
     BallRegion,
-    TreeVertex,
     ball,
     ball_intersection_size,
     ball_size,
@@ -67,7 +66,6 @@ from .tree import (
 from .words import (
     FreeProductSignature,
     GeneratingSet,
-    Letter,
     VerificationReport,
     Word,
     build_generators,

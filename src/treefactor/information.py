@@ -284,14 +284,15 @@ def empirical_joint(
     arr = np.asarray(samples, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("samples must be pairs")
+    if arr.min() < 0:
+        raise ValueError(f"state index {int(arr.min())} is negative")
     if shape is None:
         shape = (int(arr[:, 0].max()) + 1, int(arr[:, 1].max()) + 1)
+    elif arr[:, 0].max() >= shape[0] or arr[:, 1].max() >= shape[1]:
+        raise ValueError(f"a state index lies outside the shape {tuple(shape)}")
     counts = np.zeros(shape, dtype=np.int64)
     np.add.at(counts, (arr[:, 0], arr[:, 1]), 1)
-    n = len(samples)
-    return JointDistribution.from_array(
-        counts / n, Provenance("empirical", n, seed), counts
-    )
+    return joint_from_counts(counts, seed)
 
 
 def joint_from_counts(counts: np.ndarray, seed: Optional[int]) -> JointDistribution:

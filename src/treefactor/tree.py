@@ -1,7 +1,7 @@
 """Finite combinatorics of the d-regular tree.
 
-Vertices are addressed by reduced words, so distances and the swap
-symmetry of a vertex pair come from the word algebra for free.
+A vertex is a reduced ``Word``, so distances and the swap symmetry of a
+vertex pair come from the word algebra for free.
 """
 
 from __future__ import annotations
@@ -10,13 +10,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, InvariantError
+from .errors import BudgetExceededError
 from .words import (
     FreeProductSignature,
     Word,
     _ball_words,
     _letters_sort_key,
-    _multiply_raw,
     inverse,
     multiply,
     word_to_str,
@@ -25,37 +24,16 @@ from .words import (
 DEFAULT_BALL_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class TreeVertex:
-    """A vertex of the d-regular tree, identified with a group element."""
-
-    address: Word
-
-    @property
-    def degree(self) -> int:
-        return self.address.sig.degree
-
-    def neighbors(self) -> tuple["TreeVertex", ...]:
-        sig = self.address.sig
-        return tuple(
-            TreeVertex(multiply(self.address, Word((x,), sig)))
-            for x in sig.alphabet()
-        )
-
-    def __str__(self) -> str:
-        return word_to_str(self.address)
+def origin(d: int) -> Word:
+    return Word.identity(FreeProductSignature(0, d))
 
 
-def origin(d: int) -> TreeVertex:
-    return TreeVertex(Word.identity(FreeProductSignature(0, d)))
-
-
-def vertex_at_distance(start: TreeVertex, k: int) -> TreeVertex:
+def vertex_at_distance(start: Word, k: int) -> Word:
     """Some vertex at distance exactly k from ``start`` (a straight path)."""
     if k < 0:
         raise ValueError(f"distance must be >= 0, got {k}")
-    sig = start.address.sig
-    last = start.address.letters[-1] if start.address.letters else 0
+    sig = start.sig
+    last = start.letters[-1] if start.letters else 0
     if sig.r >= 1:
         x = -1 if last == -1 else 1
         letters = (x,) * k
@@ -63,14 +41,14 @@ def vertex_at_distance(start: TreeVertex, k: int) -> TreeVertex:
         first = 2 if last == 1 else 1
         other = 2 if first == 1 else 1
         letters = tuple(first if i % 2 == 0 else other for i in range(k))
-    return TreeVertex(Word(start.address.letters + letters, sig))
+    return Word(start.letters + letters, sig)
 
 
-def dist(u: TreeVertex, v: TreeVertex) -> int:
+def dist(u: Word, v: Word) -> int:
     """Graph distance; equals the word length of u^-1 v."""
-    if u.address.sig != v.address.sig:
+    if u.sig != v.sig:
         raise ValueError("vertices live in trees with different signatures")
-    return len(multiply(inverse(u.address), v.address))
+    return len(multiply(inverse(u), v))
 
 
 @dataclass(frozen=True)
@@ -80,17 +58,17 @@ class BallRegion:
     and ``balls[c]`` lists the vertices of the c-th centre's ball in the
     breadth-first order of ``_ball_words``."""
 
-    vertices: tuple[TreeVertex, ...]
+    vertices: tuple[Word, ...]
     adjacency: tuple[tuple[int, int], ...]
-    centers: tuple[tuple[TreeVertex, int], ...]
+    centers: tuple[tuple[Word, int], ...]
     balls: tuple[tuple[int, ...], ...]
 
-    def index_of(self, v: TreeVertex) -> int:
-        return self._index[v.address.letters]
+    def index_of(self, v: Word) -> int:
+        return self._index[v.letters]
 
     def __post_init__(self):
         object.__setattr__(
-            self, "_index", {v.address.letters: i for i, v in enumerate(self.vertices)}
+            self, "_index", {v.letters: i for i, v in enumerate(self.vertices)}
         )
         neighbors: list[list[int]] = [[] for _ in self.vertices]
         for a, b in self.adjacency:
@@ -98,26 +76,26 @@ class BallRegion:
             neighbors[b].append(a)
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(ns)) for ns in neighbors))
 
-    def __contains__(self, v: TreeVertex) -> bool:
-        return v.address.letters in self._index
+    def __contains__(self, v: Word) -> bool:
+        return v.letters in self._index
 
     def to_json(self) -> str:
         payload = {
             "schema": 1,
-            "vertices": [word_to_str(v.address) for v in self.vertices],
+            "vertices": [word_to_str(v) for v in self.vertices],
             "edges": [list(e) for e in self.adjacency],
-            "centers": [[word_to_str(c.address), r] for c, r in self.centers],
+            "centers": [[word_to_str(c), r] for c, r in self.centers],
         }
         return json.dumps(payload, sort_keys=True)
 
 
 def region_from_balls(
-    centers: list[tuple[TreeVertex, int]], budget: int = DEFAULT_BALL_BUDGET
+    centers: list[tuple[Word, int]], budget: int = DEFAULT_BALL_BUDGET
 ) -> BallRegion:
     """Explicit union of balls; errors out instead of exceeding the budget."""
     if not centers:
         raise ValueError("need at least one center")
-    sig = centers[0][0].address.sig
+    sig = centers[0][0].sig
     d = sig.degree
     total_cap = sum(ball_size(d, radius) for _, radius in centers)
     if total_cap > budget:
@@ -126,24 +104,23 @@ def region_from_balls(
         )
     balls = []
     for center, radius in centers:
-        if center.address.sig != sig:
+        if center.sig != sig:
             raise ValueError("centers live in trees with different signatures")
-        balls.append(_ball_words(sig, radius, center.address.letters))
+        balls.append(_ball_words(sig, radius, center.letters))
     ordered = sorted(set().union(*balls), key=_letters_sort_key)
     index = {w: i for i, w in enumerate(ordered)}
+    # Every tree edge joins a reduced word w to its parent w[:-1].
     edges = []
-    alphabet = sig.alphabet()
-    for i, w in enumerate(ordered):
-        for x in alphabet:
-            j = index.get(_multiply_raw(w, (x,), sig.r))
-            if j is not None and i < j:
-                edges.append((i, j))
-    vertices = tuple(TreeVertex(Word(w, sig)) for w in ordered)
+    for j, w in enumerate(ordered):
+        i = index.get(w[:-1]) if w else None
+        if i is not None:
+            edges.append((i, j))
+    vertices = tuple(Word(w, sig) for w in ordered)
     balls = tuple(tuple(index[w] for w in words) for words in balls)
     return BallRegion(vertices, tuple(sorted(edges)), tuple(centers), balls)
 
 
-def ball(center: TreeVertex, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> BallRegion:
+def ball(center: Word, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> BallRegion:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     return region_from_balls([(center, radius)], budget=budget)
@@ -162,10 +139,15 @@ def sphere_size(d: int, radius: int) -> int:
     return 1 if radius == 0 else d * (d - 1) ** (radius - 1)
 
 
-def _intersection_size_formula(d: int, radius: int, k: int) -> int:
-    # Classify vertices by the nearest path vertex u_j (0 <= j <= k) and
-    # the distance n hung off the path; a vertex at (j, n) has distances
-    # (j+n, k-j+n) to the endpoints.
+def ball_intersection_size(d: int, radius: int, k: int) -> int:
+    """|B_R(u) & B_R(v)| for any u, v at distance k.
+
+    Classify vertices by the nearest path vertex u_j (0 <= j <= k) and the
+    distance n hung off the path; a vertex at (j, n) has distances
+    (j+n, k-j+n) to the endpoints.
+    """
+    if d < 3 or radius < 0 or k < 0:
+        raise ValueError(f"invalid arguments d={d}, R={radius}, k={k}")
     if k > 2 * radius:
         return 0
     if k == 0:
@@ -184,32 +166,6 @@ def _intersection_size_formula(d: int, radius: int, k: int) -> int:
             # Behind an endpoint: (d-1)^n vertices at offset n.
             total += ((d - 1) ** (n_max + 1) - (d - 1)) // (d - 2)
     return total
-
-
-def ball_intersection_size(
-    d: int, radius: int, k: int, budget: int = DEFAULT_BALL_BUDGET
-) -> int:
-    """|B_R(u) & B_R(v)| for any u, v at distance k.
-
-    Enumerates both balls while they fit in the budget and checks the
-    count against the path-offset counting formula; beyond that it uses
-    the formula alone.
-    """
-    if d < 3 or radius < 0 or k < 0:
-        raise ValueError(f"invalid arguments d={d}, R={radius}, k={k}")
-    if ball_size(d, radius) > budget:
-        return _intersection_size_formula(d, radius, k)
-    u = origin(d)
-    v = vertex_at_distance(u, k)
-    sig = u.address.sig
-    a = set(_ball_words(sig, radius, u.address.letters))
-    size = len(a.intersection(_ball_words(sig, radius, v.address.letters)))
-    formula = _intersection_size_formula(d, radius, k)
-    if size != formula:
-        raise InvariantError(
-            f"ball intersection d={d} R={radius} k={k}: enumerated {size}, formula {formula}"
-        )
-    return size
 
 
 def listing_ratio(d: int, radius: int, k: int) -> Fraction:

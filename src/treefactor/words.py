@@ -61,31 +61,11 @@ class FreeProductSignature:
             raise ValueError(f"letter {letter}: order-2 generators carry no inverse sign")
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A single generator or inverse generator."""
-
-    index: int
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"letter index must be >= 1, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def packed(self) -> int:
-        return self.index * self.sign
-
-
 def _pack_letters(seq: Iterable, sig: FreeProductSignature) -> tuple[int, ...]:
-    packed = []
-    for item in seq:
-        letter = item.packed if isinstance(item, Letter) else int(item)
+    packed = tuple(int(x) for x in seq)
+    for letter in packed:
         sig.validate_letter(letter)
-        packed.append(letter)
-    return tuple(packed)
+    return packed
 
 
 def _multiply_raw(a: Sequence[int], b: Sequence[int], r: int) -> tuple[int, ...]:
@@ -148,12 +128,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
-    def __invert__(self) -> "Word":
-        return inverse(self)
 
     def __str__(self) -> str:
         return word_to_str(self)

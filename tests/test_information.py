@@ -151,6 +151,21 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             empirical_joint([], seed=0)
 
+    @pytest.mark.parametrize(
+        "samples, shape, match",
+        [
+            # numpy indexing would count (-1, 0) in the last row
+            ([(-1, 0), (0, 1)], (2, 2), "negative"),
+            # the inferred shape would be 1x1 and hold both samples
+            ([(-1, 0), (0, 0)], None, "negative"),
+            ([(2, 0), (0, 1)], (2, 2), "outside the shape"),
+            ([(0, 2), (1, 1)], (2, 2), "outside the shape"),
+        ],
+    )
+    def test_index_outside_the_alphabet_rejected(self, samples, shape, match):
+        with pytest.raises(ValueError, match=match):
+            empirical_joint(samples, seed=1, shape=shape)
+
     def test_independent_pairs_mi_near_zero(self):
         rng = np.random.default_rng(2024)
         samples = list(zip(rng.integers(0, 2, 10_000), rng.integers(0, 2, 10_000)))

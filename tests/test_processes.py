@@ -298,13 +298,13 @@ class TestGaussianCov:
         spec = GaussianSignSpec(3, 0.25, 9, tail_tol=None)
         u = origin(3)
         v = vertex_at_distance(u, k)
-        sig = u.address.sig
-        ball_u = set(_ball_words(sig, 9, u.address.letters))
-        ball_v = set(_ball_words(sig, 9, v.address.letters))
+        sig = u.sig
+        ball_u = set(_ball_words(sig, 9, u.letters))
+        ball_v = set(_ball_words(sig, 9, v.letters))
         total = 0.0
         for w in ball_u & ball_v:
             du = len(w)
-            dv = len(v.address.letters) + len(w) - 2 * _common_prefix(v.address.letters, w)
+            dv = len(v.letters) + len(w) - 2 * _common_prefix(v.letters, w)
             total += spec.alpha(du) * spec.alpha(dv)
         assert gaussian_cov(spec, k) == pytest.approx(total, abs=1e-12)
 

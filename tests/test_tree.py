@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from treefactor.bounds import normalized_mi_bound
-from treefactor import tree
-from treefactor.errors import BudgetExceededError, InvariantError
+from treefactor.errors import BudgetExceededError
 from treefactor.processes import majority_rule, mc_joint
 from treefactor.tree import (
-    _intersection_size_formula,
     ball,
     ball_intersection_size,
     ball_size,
@@ -24,18 +22,18 @@ from treefactor.words import FreeProductSignature, _ball_words, word_from_str
 
 
 def _addresses(vertex, radius):
-    return set(_ball_words(vertex.address.sig, radius, vertex.address.letters))
+    return set(_ball_words(vertex.sig, radius, vertex.letters))
 
 
 class TestDistance:
     def test_examples(self):
         u = origin(3)
         assert dist(u, u) == 0
-        sig = u.address.sig
-        a12 = type(u)(word_from_str("a1a2", sig))
+        sig = u.sig
+        a12 = word_from_str("a1a2", sig)
         assert dist(u, a12) == 2
-        a1 = type(u)(word_from_str("a1", sig))
-        a2 = type(u)(word_from_str("a2", sig))
+        a1 = word_from_str("a1", sig)
+        a2 = word_from_str("a2", sig)
         assert dist(a1, a2) == 2
 
     def test_signature_mismatch(self):
@@ -64,7 +62,7 @@ class TestDistance:
                 assert dist(u, vertex_at_distance(u, k)) == k
         # also from a non-identity start, either group form
         sig = FreeProductSignature(2, 0)
-        start = type(origin(4))(word_from_str("A1", sig))
+        start = word_from_str("A1", sig)
         assert dist(start, vertex_at_distance(start, 5)) == 5
 
     @pytest.mark.parametrize("k", [-1, -2])
@@ -142,27 +140,15 @@ class TestIntersections:
         assert ball_intersection_size(3, 2, 5) == 0
 
     def test_formula_matches_enumeration(self):
-        for d in (3, 4, 5, 6):
-            for radius in range(6):
-                for k in range(2 * radius + 3):
-                    u = origin(d)
-                    v = vertex_at_distance(u, k)
-                    a = _addresses(u, radius)
-                    b = _addresses(v, radius)
-                    assert _intersection_size_formula(d, radius, k) == len(a & b), (d, radius, k)
-
-    def test_formula_used_beyond_budget(self):
-        small = ball_intersection_size(3, 4, 2)
-        assert ball_intersection_size(3, 4, 2, budget=10) == small
-
-    def test_formula_disagreement_raises_typed_error(self, monkeypatch):
-        # A check that `python -O` cannot strip.
-        monkeypatch.setattr(
-            tree, "_intersection_size_formula",
-            lambda d, radius, k: _intersection_size_formula(d, radius, k) + 1,
-        )
-        with pytest.raises(InvariantError, match="enumerated 4, formula 5"):
-            ball_intersection_size(3, 2, 2)
+        cases = {(d, radius, k) for d in (3, 4, 5, 6) for radius in range(6) for k in range(2 * radius + 3)}
+        # every (d, R, k) that the sharpness grids and the listing tests reach
+        cases |= {(3, radius, k) for radius in range(1, 11) for k in range(1, 5)}
+        cases |= {(4, radius, k) for radius in range(1, 9) for k in range(1, 7)}
+        cases.add((3, 12, 1))
+        for d, radius, k in sorted(cases):
+            u = origin(d)
+            both = _addresses(u, radius) & _addresses(vertex_at_distance(u, k), radius)
+            assert ball_intersection_size(d, radius, k) == len(both), (d, radius, k)
 
 
 class TestListingRatio:
@@ -194,3 +180,20 @@ def test_region_union_of_two_balls():
     assert len(region.vertices) == 7
     assert len(region.adjacency) == 6
     assert u in region and v in region
+
+
+@pytest.mark.parametrize(
+    "center, radius, k",
+    [
+        (origin(3), 1, 4),
+        (origin(4), 2, 1),
+        (origin(3), 2, 0),
+        (word_from_str("A1", FreeProductSignature(2, 0)), 2, 1),
+    ],
+    ids=["disconnected", "overlapping", "coincident", "inverse-letter-center"],
+)
+def test_region_edges_are_the_distance_one_pairs(center, radius, k):
+    region = region_from_balls([(center, radius), (vertex_at_distance(center, k), radius)])
+    vs = region.vertices
+    pairs = [(i, j) for i in range(len(vs)) for j in range(i + 1, len(vs)) if dist(vs[i], vs[j]) == 1]
+    assert region.adjacency == tuple(pairs)
