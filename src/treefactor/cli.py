@@ -26,7 +26,6 @@ from .processes import (
     DEFAULT_ENUM_BUDGET,
     RULES,
     GaussianSignSpec,
-    _two_balls,
     exact_joint,
     gaussian_sign_measure,
     listing_normalized_mi,
@@ -39,10 +38,11 @@ from .processes import (
     short_cycle_count,
 )
 from .information import MeasuredQuantity
-from .tree import ball_size
+from .tree import BallRegion, ball_size
 from .words import (
     DEFAULT_SEQUENCE_BUDGET,
     build_generators,
+    certify_free_claim,
     verify_coset_factorization,
     verify_free_claim,
     word_to_str,
@@ -122,6 +122,7 @@ def _add_verdicts(row: dict, lines: list[str], d: int, k: int, nmi, mi=None, m=N
 
 def cmd_generators(args) -> int:
     gs = build_generators(args.d, args.k)
+    certificate = certify_free_claim(gs, budget=args.budget)
     report = verify_free_claim(gs, args.nmax, budget=args.budget)
     row = {
         "d": args.d,
@@ -132,14 +133,18 @@ def cmd_generators(args) -> int:
         "complete": report.complete,
         "sequences_checked": report.checked,
         "min_product_length": report.min_product_length,
+        "certificate": certificate.verdict,
+        "certificate_states": certificate.states,
         "elements": " ".join(word_to_str(w) for w in gs.elements),
     }
     lines = [
         f"generators d={args.d} k={args.k}: rank {gs.claimed_rank} ({gs.construction})",
         f"free-claim {report}",
+        f"certificate {certificate}",
     ]
     _emit([row], lines, list(row.keys()), args)
-    return EXIT_OK if report.passed and report.complete else EXIT_VERDICT_FAILED
+    certified = certificate.verdict == "PASS" and report.passed and report.complete
+    return EXIT_OK if certified else EXIT_VERDICT_FAILED
 
 
 def cmd_factorization(args) -> int:
@@ -150,7 +155,7 @@ def cmd_factorization(args) -> int:
         "L": args.L,
         "result": "PASS" if report.passed else "FAIL",
         "complete": report.complete,
-        "products_checked": report.checked,
+        "items_checked": report.checked,
         "ball_size": ball_size(args.d, args.L),
         "message": report.message,
     }
@@ -159,7 +164,9 @@ def cmd_factorization(args) -> int:
     return EXIT_OK if report.passed and report.complete else EXIT_VERDICT_FAILED
 
 
-def _measure_block_rule(args) -> tuple[list[dict], list[str], int]:
+# Each measurement returns its rows, text lines, exit status and the region
+# it was measured on (None where no region is built).
+def _measure_block_rule(args) -> tuple[list[dict], list[str], int, Optional[BallRegion]]:
     rule = RULES[args.process](args.d)
     if args.R is not None and args.R != rule.radius:
         raise ValueError(
@@ -181,10 +188,10 @@ def _measure_block_rule(args) -> tuple[list[dict], list[str], int]:
         f"  H={pm.entropy_v} I={pm.mi} I/H={pm.nmi}",
     ]
     code = _add_verdicts(row, lines, args.d, args.k, pm.nmi, pm.mi, len(rule.output_values))
-    return [row], lines, code
+    return [row], lines, code, pm.region
 
 
-def _measure_listing(args) -> tuple[list[dict], list[str], int]:
+def _measure_listing(args) -> tuple[list[dict], list[str], int, Optional[BallRegion]]:
     if args.R is None:
         raise ValueError("the listing process needs --R")
     ratio = listing_normalized_mi(args.d, args.R, args.k)
@@ -198,10 +205,10 @@ def _measure_listing(args) -> tuple[list[dict], list[str], int]:
     }
     lines = [f"measure process=listing d={args.d} k={args.k} R={args.R}: I/H -> {ratio!r}"]
     code = _add_verdicts(row, lines, args.d, args.k, MeasuredQuantity(ratio, 0.0, "closed-form"))
-    return [row], lines, code
+    return [row], lines, code, None
 
 
-def _measure_gaussian_sign(args) -> tuple[list[dict], list[str], int]:
+def _measure_gaussian_sign(args) -> tuple[list[dict], list[str], int, Optional[BallRegion]]:
     spec = GaussianSignSpec(args.d, args.eps, args.D, tail_tol=args.tail_tol)
     pm = gaussian_sign_measure(spec, args.k, args.samples if args.method != "exact" else 0,
                                seed=args.seed)
@@ -212,7 +219,7 @@ def _measure_gaussian_sign(args) -> tuple[list[dict], list[str], int]:
         f"  I={pm.mi} corr={pm.corr}",
     ]
     code = _add_verdicts(row, lines, args.d, args.k, pm.nmi, pm.mi, 2)
-    return [row], lines, code
+    return [row], lines, code, pm.region
 
 
 _MEASURE_FIELDS = [
@@ -227,7 +234,7 @@ _MEASURE_DEFAULTS = {
 }
 
 
-def _measure_dispatch(args) -> tuple[list[dict], list[str], int]:
+def _measure_dispatch(args) -> tuple[list[dict], list[str], int, Optional[BallRegion]]:
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
     if args.method == "mc" and args.samples < 1:
@@ -246,9 +253,8 @@ def cmd_measure(args) -> int:
     if args.dump_region and args.process not in RULES:
         raise ValueError(f"--dump-region needs a block-rule process "
                          f"({', '.join(sorted(RULES))}), got {args.process!r}")
-    rows, lines, code = _measure_dispatch(args)
+    rows, lines, code, region = _measure_dispatch(args)
     if args.dump_region:
-        region = _two_balls(args.d, RULES[args.process](args.d).radius, args.k)[0]
         with open(args.dump_region, "w") as fh:
             fh.write(region.to_json() + "\n")
     _emit(rows, lines, _MEASURE_FIELDS, args)
@@ -333,7 +339,7 @@ def cmd_sweep(args) -> int:
     lines: list[str] = []
     for k in config["k"]:
         ns = argparse.Namespace(**{**_MEASURE_DEFAULTS, **config, "k": k, "budget": args.budget})
-        k_rows, k_lines, code = _measure_dispatch(ns)
+        k_rows, k_lines, code, _ = _measure_dispatch(ns)
         rows.extend(k_rows)
         lines.extend(k_lines)
         worst = max(worst, code)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -174,7 +174,8 @@ class ProcessMeasurement:
     quantities.  The joint is transpose-symmetric (the two vertices can be
     swapped by an automorphism): exactly for enumeration, within noise for
     Monte Carlo.  ``joint`` is None when the state space is too large to
-    materialize and only derived quantities are reported."""
+    materialize and only derived quantities are reported.  ``region`` is
+    the explicit union of balls the measurement was made on, if any."""
 
     d: int
     k: int
@@ -187,6 +188,7 @@ class ProcessMeasurement:
     samples: Optional[int] = None
     seed: Optional[int] = None
     extra: tuple[tuple[str, float], ...] = ()
+    region: Optional[BallRegion] = field(default=None, compare=False, repr=False)
 
     def to_row(self) -> dict:
         row = {
@@ -235,9 +237,10 @@ def measurement_from_joint(
     samples: Optional[int] = None,
     seed: Optional[int] = None,
     extra: tuple[tuple[str, float], ...] = (),
+    region: Optional[BallRegion] = None,
 ) -> ProcessMeasurement:
     """Derive H, I, I/H and the value correlation (with bootstrap stderr
-    for empirical joints) from a joint law."""
+    for empirical joints) from a joint law measured on ``region``."""
     est = Estimates(J, x_values, y_values)
     try:
         corr = est.quantity("corr")
@@ -255,6 +258,7 @@ def measurement_from_joint(
         samples=samples,
         seed=seed,
         extra=tuple(extra),
+        region=region,
     )
 
 
@@ -365,7 +369,7 @@ def exact_joint(
         raise InvariantError(f"exact joint not exchangeable: transpose gap {gap}")
     J = JointDistribution.from_array(joint)
     values = _numeric_values(rule.output_values)
-    return measurement_from_joint(d, k, J, values, values, "exact-enumeration")
+    return measurement_from_joint(d, k, J, values, values, "exact-enumeration", region=region)
 
 
 def _numeric_values(output_values: tuple) -> tuple[float, ...]:
@@ -401,7 +405,7 @@ def mc_joint(
     J = joint_from_counts(counts.reshape(m, m), seed)
     values = _numeric_values(rule.output_values)
     return measurement_from_joint(
-        d, k, J, values, values, "monte-carlo", samples=samples, seed=seed
+        d, k, J, values, values, "monte-carlo", samples=samples, seed=seed, region=region
     )
 
 
@@ -846,21 +850,38 @@ def gaussian_cov_tail_bound(spec: GaussianSignSpec, k: int) -> float:
     return (d - 1) ** (-k / 2) / (2 * eps) * ((d - 2) / (d - 1) * interior + ends)
 
 
+def _largest_region_radius(d: int) -> int:
+    """The largest truncation radius whose two balls fit the region budget."""
+    radius = 0
+    while 2 * ball_size(d, radius + 1) <= DEFAULT_REGION_VERTEX_BUDGET:
+        radius += 1
+    return radius
+
+
 def _require_tail(spec: GaussianSignSpec, k: int, value: float) -> None:
     if spec.tail_tol is None:
         return
     bound = gaussian_cov_tail_bound(spec, k)
     if bound > spec.tail_tol * abs(value):
+        cap = _largest_region_radius(spec.d)
         if math.isinf(bound):
-            needed = f"well beyond k={k}"
+            advice = f"raise the truncation radius well beyond k={k}"
         else:
             scale = bound / (spec.tail_tol * abs(value))
-            needed = str(
-                math.ceil(k + (spec.truncation_radius - k) * scale ** (1 / (2 * spec.eps)))
-            )
+            needed = math.ceil(k + (spec.truncation_radius - k) * scale ** (1 / (2 * spec.eps)))
+            if needed <= cap:
+                advice = f"raise the truncation radius to about {needed}"
+            else:
+                # Advise no radius past what the region budget can build.
+                advice = (
+                    f"loosen tail_tol: it needs a truncation radius of about {needed:.3g}, "
+                    f"past {cap}, the largest whose two balls fit the region budget of "
+                    f"{DEFAULT_REGION_VERTEX_BUDGET} vertices"
+                )
+                if spec.truncation_radius < cap:
+                    advice = f"raise the truncation radius to at most {cap} and {advice}"
         raise TruncationError(
-            f"tail bound {bound:.3g} exceeds {spec.tail_tol:.3g} * value "
-            f"{value:.3g}; raise the truncation radius to about {needed}"
+            f"tail bound {bound:.3g} exceeds {spec.tail_tol:.3g} * value {value:.3g}; {advice}"
         )
 
 
@@ -1025,4 +1046,5 @@ def gaussian_sign_measure(
         samples=samples,
         seed=seed,
         extra=extra,
+        region=region,
     )

@@ -64,6 +64,8 @@ class BallRegion:
     balls: tuple[tuple[int, ...], ...]
 
     def index_of(self, v: Word) -> int:
+        if v not in self:
+            raise KeyError(v)
         return self._index[v.letters]
 
     def __post_init__(self):
@@ -77,7 +79,7 @@ class BallRegion:
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(ns)) for ns in neighbors))
 
     def __contains__(self, v: Word) -> bool:
-        return v.letters in self._index
+        return v.sig == self.vertices[0].sig and v.letters in self._index
 
     def to_json(self) -> str:
         payload = {
@@ -126,16 +128,22 @@ def ball(center: Word, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> BallRe
     return region_from_balls([(center, radius)], budget=budget)
 
 
-def ball_size(d: int, radius: int) -> int:
-    """|B_R| = 1 + d((d-1)^R - 1)/(d-2) in the d-regular tree."""
+def _check_degree_radius(d: int, radius: int) -> None:
     if d < 3:
         raise ValueError(f"d must be >= 3, got {d}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
+
+
+def ball_size(d: int, radius: int) -> int:
+    """|B_R| = 1 + d((d-1)^R - 1)/(d-2) in the d-regular tree."""
+    _check_degree_radius(d, radius)
     return 1 + d * ((d - 1) ** radius - 1) // (d - 2)
 
 
 def sphere_size(d: int, radius: int) -> int:
+    """|S_R| = d(d-1)^(R-1) for R >= 1, and 1 for R = 0."""
+    _check_degree_radius(d, radius)
     return 1 if radius == 0 else d * (d - 1) ** (radius - 1)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_SEQUENCE_BUDGET = 10_000_000
@@ -322,13 +321,13 @@ def build_generators(d: int, k: int) -> GeneratingSet:
 
 
 # ---------------------------------------------------------------------------
-# Bounded brute-force verification
+# Verification: bounded brute force, a certificate for every n, decoding
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of a bounded exhaustive check (a certificate, not a proof)."""
+    """Outcome of a check that counts ``checked`` items of its ``unit``."""
 
     passed: bool
     complete: bool
@@ -337,12 +336,46 @@ class VerificationReport:
     min_product_length: Optional[int] = None
     counterexample: tuple[str, ...] = field(default_factory=tuple)
     message: str = ""
+    unit: str = "sequences"
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         scope = f"n <= {self.n_max}" if self.complete else f"n <= {self.n_max}, INCOMPLETE"
         extra = f"; counterexample {' . '.join(self.counterexample)}" if self.counterexample else ""
-        return f"{status} ({scope}, {self.checked} sequences checked){extra}"
+        return f"{status} ({scope}, {self.checked} {self.unit} checked){extra}"
+
+
+@dataclass(frozen=True)
+class CertificateReport:
+    """Outcome of ``certify_free_claim``: a complete PASS holds for every n."""
+
+    passed: bool
+    complete: bool
+    checked: int  # transitions
+    states: int
+    counterexample: tuple[str, ...] = field(default_factory=tuple)
+    message: str = ""
+
+    @property
+    def verdict(self) -> str:
+        if not self.passed:
+            return "FAIL"
+        return "PASS" if self.complete else "INCOMPLETE"
+
+    def __str__(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        scope = "every n, " if self.complete else "INCOMPLETE, " if self.passed else ""
+        extra = f"; counterexample {' . '.join(self.counterexample)}" if self.counterexample else ""
+        return f"{status} ({scope}{self.states} states, {self.checked} transitions checked){extra}"
+
+
+def _admissible(s0: GeneratingSet) -> tuple[list[tuple[int, ...]], list[int]]:
+    # The set followed by its formal inverses, and the position of each
+    # factor's formal inverse.  Admissibility is formal (by position), so a
+    # degenerate set containing a word and its inverse as distinct members
+    # is caught rather than skipped.
+    rank = s0.claimed_rank
+    return [w.letters for w in s0.symmetrized()], list(range(rank, 2 * rank)) + list(range(rank))
 
 
 def _products(factors: Sequence[tuple[int, ...]], inverse_of: Sequence[int], r: int, n_max: int):
@@ -377,15 +410,13 @@ def verify_free_claim(
     * even k = 2l: length never decreases, and the last l (inverse
       factor) or l+1 (direct factor) letters match the last factor.
 
-    Admissibility is formal (by position in the symmetrized list), so a
-    degenerate set containing a word and its inverse as distinct members
-    is caught rather than skipped.  At most ``budget`` sequences are checked.
+    At most ``budget`` sequences are checked.  ``certify_free_claim``
+    proves the same laws for every n.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    gens = [w.letters for w in s0.symmetrized()]
+    gens, inverse_of = _admissible(s0)
     rank = s0.claimed_rank
-    inverse_of = list(range(rank, 2 * rank)) + list(range(rank))
     l = s0.half_length
     odd = s0.k % 2 == 1
 
@@ -445,6 +476,118 @@ def verify_free_claim(
     )
 
 
+def certify_free_claim(
+    s0: GeneratingSet, budget: int = DEFAULT_SEQUENCE_BUDGET
+) -> CertificateReport:
+    """Prove the suffix and length laws of ``verify_free_claim`` for
+    products of every length n, by a search over finitely many states.
+
+    A state is (the last k letters of a product, the index of its last
+    factor); the search starts from each factor alone.  A transition
+    appends an admissible factor g_j, which cancels c letters.  It fails
+    if c > l, or if the new product's last sigma letters differ from
+    g_j's, with sigma = l+1, except l for inverse factors at even k.
+
+    While c <= l every product keeps at least k letters and 2c <= k, so a
+    state holds the product's true last k letters and these determine the
+    next state.  Each step adds k - 2c >= 0 letters (>= 1 for odd k), so
+    the identity is never reached and the odd-k length 2l+n follows.  The
+    search is breadth-first and ends when no new state appears; a PASS
+    then implies that ``verify_free_claim`` passes at every n_max, and a
+    counterexample has the fewest factors of any.  At most ``budget``
+    transitions are checked.
+    """
+    gens, inverse_of = _admissible(s0)
+    rank, k, l, r = s0.claimed_rank, s0.k, s0.half_length, s0.sig.r
+    sigma = [l + 1 if k % 2 == 1 or i < rank else l for i in range(2 * rank)]
+    # cancels[j][t] cancels g_j[t], so c counts the matches of
+    # product[-1], product[-2], ... against cancels[j][0], cancels[j][1], ...
+    cancels = [tuple(-x if abs(x) <= r else x for x in g[: l + 1]) for g in gens]
+    parent: dict[tuple, Optional[tuple]] = {(g, i): None for i, g in enumerate(gens)}
+    queue = list(parent)
+    checked = 0
+    for state in queue:  # the queue grows while it is read
+        s, i = state
+        for j, g in enumerate(gens):
+            if j == inverse_of[i]:
+                continue
+            if checked >= budget:
+                return CertificateReport(
+                    passed=True,
+                    complete=False,
+                    checked=checked,
+                    states=len(parent),
+                    message=f"budget of {budget} transitions exceeded; partial result",
+                )
+            checked += 1
+            cancel = cancels[j]
+            if s[-1] != cancel[0]:
+                continue  # c = 0: the product ends in g_j, a start state
+            c = 1
+            while c <= l and s[-1 - c] == cancel[c]:
+                c += 1
+            new = (s[: k - c] + g[c:])[-k:]
+            if c > l:
+                failure = f"factor cancels more than l = {l} letters"
+            elif new[-sigma[j]:] != g[-sigma[j]:]:
+                failure = f"last {sigma[j]} letters differ from the last factor"
+            else:
+                if (new, j) not in parent:
+                    parent[new, j] = state
+                    queue.append((new, j))
+                continue
+            seq = [j]
+            back: Optional[tuple] = state
+            while back is not None:
+                seq.append(back[1])
+                back = parent[back]
+            return CertificateReport(
+                passed=False,
+                complete=False,
+                checked=checked,
+                states=len(parent),
+                counterexample=tuple(word_to_str(Word(gens[x], s0.sig)) for x in reversed(seq)),
+                message=failure,
+            )
+    return CertificateReport(
+        passed=True,
+        complete=True,
+        checked=checked,
+        states=len(parent),
+        message="the suffix and length laws hold for products of every length",
+    )
+
+
+def _decode_letters(
+    g: tuple[int, ...],
+    palindromes: frozenset,
+    l: int,
+    r: int,
+    remainders: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    # The core of decode_factorizations on letter tuples; ``remainders``
+    # pairs each word t of length <= l with its inverse.  Stripping s from
+    # p cancels the l+1 letters they share, so p shrinks.  Hence no factor
+    # is decoded next to its inverse: if p s^-1 ended in the last l+1
+    # letters of s^-1, then p = (p s^-1) s would be shorter than p s^-1.
+    results = []
+    for t, t_inv in remainders:
+        p = _multiply_raw(g, t_inv, r)
+        factors: list[tuple[int, ...]] = []
+        while p:
+            if len(p) < l + 1:
+                break
+            suffix = p[-(l + 1):]
+            s = suffix[:0:-1] + suffix
+            if s not in palindromes:
+                break
+            factors.append(s)
+            p = _multiply_raw(p, _inverse_raw(s, r), r)
+        else:
+            results.append((tuple(reversed(factors)), t))
+    return results
+
+
 def decode_factorizations(
     g: Word, palindromes: Sequence[Word], l: int
 ) -> list[tuple[tuple[Word, ...], Word]]:
@@ -453,39 +596,17 @@ def decode_factorizations(
     Only the short remainder t is searched; each factor s_i is then
     forced, because the last l+1 letters of the running product are the
     last l+1 letters of its final factor and a palindrome is determined
-    by that suffix.
+    by that suffix.  Where ``certify_free_claim`` passes on the
+    palindromes, this finds every factorization.
     """
     sig = g.sig
-    r = sig.r
-    palindrome_set = {w.letters for w in palindromes}
-    results = []
-    for t_letters in _ball_words(sig, l):
-        t = Word(t_letters, sig)
-        p = _multiply_raw(g.letters, _inverse_raw(t_letters, r), r)
-        factors: list[Word] = []
-        ok = True
-        while p:
-            if len(p) < l + 1:
-                ok = False
-                break
-            suffix = p[-(l + 1):]
-            candidate = suffix[:0:-1] + suffix
-            if candidate not in palindrome_set:
-                ok = False
-                break
-            s = Word(candidate, sig)
-            if factors and factors[-1].letters == _inverse_raw(candidate, r):
-                ok = False
-                break
-            stripped = _multiply_raw(p, _inverse_raw(candidate, r), r)
-            if len(stripped) >= len(p):
-                ok = False
-                break
-            factors.append(s)
-            p = stripped
-        if ok:
-            results.append((tuple(reversed(factors)), t))
-    return results
+    remainders = [(t, _inverse_raw(t, sig.r)) for t in _ball_words(sig, l)]
+    found = _decode_letters(
+        g.letters, frozenset(w.letters for w in palindromes), l, sig.r, remainders
+    )
+    return [
+        (tuple(Word(s, sig) for s in factors), Word(t, sig)) for factors, t in found
+    ]
 
 
 def verify_coset_factorization(
@@ -496,70 +617,49 @@ def verify_coset_factorization(
     Here d is even, k = 2l+1 odd, s_i runs over all length-k palindromes
     with s_{i+1} != s_i^-1, and t has length at most l.  Every group
     element of length <= max_length must admit exactly one such
-    factorization; a forward enumeration of all products is cross-checked
-    against the suffix-stripping decoder.
+    factorization.  ``certify_free_claim`` first proves the suffix law for
+    every n on ``build_generators(d, k)``, whose symmetrized set is exactly
+    the palindromes; the suffix-stripping decoder is then complete, and
+    each element of the ball is decoded.  One counter of certificate
+    transitions plus elements decoded stops the check after ``budget``.
     """
     if d % 2 != 0:
         raise ValueError(f"d must be even, got {d}")
     if k % 2 != 1:
         raise ValueError(f"k must be odd, got {k}")
-    sig = FreeProductSignature(d // 2, 0)
-    l = k // 2
-    palindromes = _all_palindromes(sig, k)
-    pal_letters = [w.letters for w in palindromes]
-    inverse_of = [pal_letters.index(_inverse_raw(w, sig.r)) for w in pal_letters]
-    remainders = _ball_words(sig, l)
-    found: dict[tuple[int, ...], list] = {w: [] for w in _ball_words(sig, max_length)}
-
-    # Products only grow (length >= 2l+n), so products of more than n_cap
-    # palindromes cannot re-enter the target ball after multiplying by a
-    # remainder of length <= l.
+    gs = build_generators(d, k)
+    sig, l = gs.sig, gs.half_length
+    # |s_1..s_n| >= 2l+n and |t| <= l, so a factorization of an element of
+    # length <= max_length has at most max_length - l factors.
     n_cap = max(0, max_length - l)
-    checked = 0
-    prefixes = chain([((), (), ())], _products(pal_letters, inverse_of, sig.r, n_cap))
-    for seq, _, prod in prefixes:
-        for t in remainders:
-            if checked >= budget:
-                return VerificationReport(
-                    passed=True,
-                    complete=False,
-                    checked=checked,
-                    n_max=n_cap,
-                    message=f"budget of {budget} products exceeded; partial result",
-                )
-            checked += 1
-            g = _multiply_raw(prod, t, sig.r)
-            if g in found:
-                found[g].append((seq, t))
 
-    for g_letters, factorizations in sorted(found.items()):
-        g = Word(g_letters, sig)
-        if len(factorizations) != 1:
-            return VerificationReport(
-                passed=False,
-                complete=True,
-                checked=checked,
-                n_max=n_cap,
-                counterexample=(word_to_str(g),),
-                message=f"{len(factorizations)} factorizations for {word_to_str(g)}",
-            )
-        decoded = decode_factorizations(g, palindromes, l)
-        seq, t = factorizations[0]
-        expected = (tuple(Word(pal_letters[i], sig) for i in seq), Word(t, sig))
-        if decoded != [expected]:
-            return VerificationReport(
-                passed=False,
-                complete=True,
-                checked=checked,
-                n_max=n_cap,
-                counterexample=(word_to_str(g),),
-                message="suffix-stripping decoder disagrees with enumeration",
-            )
+    def report(passed: bool, complete: bool, message: str, counterexample=()) -> VerificationReport:
+        return VerificationReport(
+            passed=passed,
+            complete=complete,
+            checked=checked,
+            n_max=n_cap,
+            counterexample=tuple(counterexample),
+            message=message,
+            unit="items",
+        )
 
-    return VerificationReport(
-        passed=True,
-        complete=True,
-        checked=checked,
-        n_max=n_cap,
-        message=f"unique factorization for all {len(found)} elements of length <= {max_length}",
-    )
+    certificate = certify_free_claim(gs, budget)
+    checked = certificate.checked
+    if not certificate.passed:
+        return report(False, False, f"certificate failed: {certificate.message}",
+                      certificate.counterexample)
+    palindromes = frozenset(w.letters for w in gs.symmetrized())
+    remainders = [(t, _inverse_raw(t, sig.r)) for t in _ball_words(sig, l)]
+    targets = _ball_words(sig, max_length)
+    # An unfinished certificate has used the whole budget, so it decodes nothing.
+    for g in targets:
+        if checked >= budget:
+            return report(True, False, f"budget of {budget} items exceeded; partial result")
+        checked += 1
+        found = len(_decode_letters(g, palindromes, l, sig.r, remainders))
+        if found != 1:
+            text = word_to_str(Word(g, sig))
+            return report(False, True, f"{found} factorizations for {text}", (text,))
+    message = f"unique factorization for all {len(targets)} elements of length <= {max_length}"
+    return report(True, True, message)

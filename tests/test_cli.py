@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treefactor import bounds as bounds_mod
-from treefactor import cli
+from treefactor import cli, processes
 from treefactor.cli import (
     _SWEEP_KEYS,
     EXIT_OK,
@@ -63,6 +64,33 @@ class TestGenerators:
         )
         assert code == EXIT_VERDICT_FAILED
         assert "INCOMPLETE" in out
+
+    def test_reports_the_certificate(self, capsys):
+        code, out, _ = run(capsys, "generators", "--d", "4", "--k", "3", "--nmax", "3")
+        assert code == EXIT_OK
+        certificate = "certificate PASS (every n, 36 states, 396 transitions checked)"
+        assert out.splitlines()[2] == certificate
+        code, out, _ = run(capsys, "--format", "json", "generators", "--d", "4", "--k", "4")
+        row = json.loads(out)["rows"][0]
+        assert (row["certificate"], row["certificate_states"]) == ("PASS", 108)
+
+    def test_incomplete_certificate_is_a_failed_verdict(self, capsys):
+        # The certificate of d=5 k=5 needs 101120 transitions, the bounded
+        # search at n <= 1 only 80 sequences.
+        code, out, _ = run(capsys, "--format", "json", "generators", "--d", "5", "--k", "5",
+                           "--nmax", "1", "--budget", "1000")
+        row = json.loads(out)["rows"][0]
+        assert (row["free_claim"], row["complete"]) == ("PASS", True)
+        assert row["certificate"] == "INCOMPLETE"
+        assert code == EXIT_VERDICT_FAILED
+
+    def test_failed_certificate_is_a_failed_verdict(self, capsys, monkeypatch):
+        real = cli.certify_free_claim
+        monkeypatch.setattr(cli, "certify_free_claim", lambda gs, budget: dataclasses.replace(
+            real(gs, budget), passed=False, complete=False))
+        code, out, _ = run(capsys, "--format", "json", "generators", "--d", "3", "--k", "2")
+        assert json.loads(out)["rows"][0]["certificate"] == "FAIL"
+        assert code == EXIT_VERDICT_FAILED
 
     def test_odd_d_k1_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generators", "--d", "3", "--k", "1")
@@ -164,6 +192,23 @@ class TestMeasure:
         payload = json.loads(target.read_text())
         assert payload["schema"] == 1
         assert len(payload["vertices"]) == 6
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_dump_region_builds_the_region_once(self, capsys, tmp_path, monkeypatch, method):
+        calls = []
+        real = processes.region_from_balls
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(processes, "region_from_balls", counting)
+        target = tmp_path / "region.json"
+        code, _, _ = run(capsys, "measure", "--process", "majority", "--d", "3", "--k", "2",
+                         "--method", method, "--samples", "100", "--dump-region", str(target))
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert target.read_text() == _two_balls(3, 1, 2)[0].to_json() + "\n"
 
     @pytest.mark.parametrize("process, k", [("majority", 1), ("majority", 2), ("majority", 3),
                                             ("identity", 2)])
@@ -420,7 +465,7 @@ class TestBudgetValidation:
 
     @pytest.fixture
     def refused(self, monkeypatch):
-        return refuse(monkeypatch, ("build_generators", "verify_free_claim",
+        return refuse(monkeypatch, ("build_generators", "certify_free_claim", "verify_free_claim",
                                     "verify_coset_factorization", "exact_joint", "mc_joint",
                                     "gaussian_sign_measure", "listing_normalized_mi"))
 
@@ -656,9 +701,9 @@ class TestCsvColumns:
          "schema,mode,n,d,L,seed,colors,color_cap,rounds,cycles_leq_6,separation"),
         (["generators", "--d", "4", "--k", "3"],
          "schema,d,k,rank,construction,free_claim,complete,sequences_checked,"
-         "min_product_length,elements"),
+         "min_product_length,certificate,certificate_states,elements"),
         (["factorization", "--d", "4", "--k", "3", "--L", "3"],
-         "schema,d,k,L,result,complete,products_checked,ball_size,message"),
+         "schema,d,k,L,result,complete,items_checked,ball_size,message"),
     ], ids=["sparse-set", "sparse-coloring", "generators", "factorization"])
     def test_header(self, capsys, argv, header):
         code, out, _ = run(capsys, "--format", "csv", *argv)

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product as iproduct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from treefactor.errors import BudgetExceededError, TruncationError
 from treefactor.processes import (
     GaussianSignSpec,
+    _two_balls,
     canonical_ball_code,
     check_sparse_coloring,
     check_sparse_set,
@@ -326,6 +328,30 @@ class TestGaussianCov:
         spec = GaussianSignSpec(3, 0.25, 10, tail_tol=1e-4)
         with pytest.raises(TruncationError, match="raise the truncation radius"):
             gaussian_cov(spec, 0)
+
+    def test_reachable_advice_names_the_radius(self):
+        spec = GaussianSignSpec(3, 0.25, 8, tail_tol=0.5)
+        with pytest.raises(TruncationError, match="raise the truncation radius to about 11$"):
+            gaussian_cov(spec, 1)
+
+    def test_advice_is_capped_at_the_region_budget(self):
+        # The region budget builds the two balls up to D = 13 at d = 3, not 14.
+        _two_balls(3, 13, 1)
+        with pytest.raises(BudgetExceededError):
+            _two_balls(3, 14, 1)
+        spec = GaussianSignSpec(3, 0.25, 8, tail_tol=1e-30)
+        with pytest.raises(TruncationError) as exc:
+            gaussian_cov(spec, 1)
+        message = str(exc.value)
+        assert "raise the truncation radius to at most 13 and loosen tail_tol" in message
+        assert "about 2.35e+60, past 13" in message
+        assert "region budget of 60000 vertices" in message
+        assert not re.search(r"\d{8}", message.replace("60000", ""))
+
+    def test_advice_past_the_cap_from_a_larger_radius(self):
+        spec = GaussianSignSpec(3, 0.25, 20, tail_tol=1e-3)
+        with pytest.raises(TruncationError, match="; loosen tail_tol: it needs a truncation"):
+            gaussian_cov(spec, 1)
 
     def test_radius_must_cover_distance(self):
         spec = GaussianSignSpec(3, 0.25, 5, tail_tol=None)

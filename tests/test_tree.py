@@ -18,7 +18,7 @@ from treefactor.tree import (
     sphere_size,
     vertex_at_distance,
 )
-from treefactor.words import FreeProductSignature, _ball_words, word_from_str
+from treefactor.words import FreeProductSignature, Word, _ball_words, word_from_str
 
 
 def _addresses(vertex, radius):
@@ -83,6 +83,27 @@ class TestBalls:
     def test_sphere(self):
         assert sphere_size(3, 0) == 1
         assert sphere_size(3, 2) == 6
+
+    @pytest.mark.parametrize("size", [ball_size, sphere_size])
+    def test_degree_and_radius_are_validated(self, size):
+        with pytest.raises(ValueError, match="radius must be >= 0, got -1"):
+            size(3, -1)
+        with pytest.raises(ValueError, match="d must be >= 3, got 2"):
+            size(2, 3)
+
+    def test_spheres_partition_the_ball(self):
+        for d in (3, 4, 7):
+            for radius in range(6):
+                assert sum(sphere_size(d, j) for j in range(radius + 1)) == ball_size(d, radius)
+
+    def test_membership_compares_the_signature(self):
+        region = ball(origin(3), 1)
+        same_letters = Word((1,), FreeProductSignature(2, 0))  # a vertex of T_4
+        assert Word((1,), region.vertices[0].sig) in region
+        assert same_letters not in region
+        with pytest.raises(KeyError):
+            region.index_of(same_letters)
+        assert region.index_of(Word((1,), region.vertices[0].sig)) == 1
 
     def test_ball_r0_and_r1(self):
         assert len(ball(origin(3), 0).vertices) == 1

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 
 import pytest
@@ -13,7 +14,10 @@ from treefactor.words import (
     GeneratingSet,
     Word,
     _ball_words,
+    _multiply_raw,
+    _products,
     build_generators,
+    certify_free_claim,
     decode_factorizations,
     expected_rank,
     inverse,
@@ -27,6 +31,7 @@ from treefactor.words import (
 )
 
 F2 = FreeProductSignature(2, 0)  # degree 4, free of rank 2
+F3 = FreeProductSignature(3, 0)  # degree 6, free of rank 3
 MIXED = FreeProductSignature(2, 1)  # degree 5, one order-2 generator
 INV3 = FreeProductSignature(0, 3)  # degree 3, all order 2
 
@@ -264,6 +269,19 @@ class TestBuildGenerators:
             GeneratingSet((w, inverse(w)), 3, 2, "odd-k-even-d", F2)
 
 
+def injected_inverse_pair() -> GeneratingSet:
+    """A 'generating set' holding a1a2a1 and its inverse as distinct members,
+    built past the constructor's check that refuses it."""
+    w = reduce([1, 2, 1], F2)
+    bad = GeneratingSet.__new__(GeneratingSet)
+    object.__setattr__(bad, "elements", (w, inverse(w)))
+    object.__setattr__(bad, "k", 3)
+    object.__setattr__(bad, "claimed_rank", 2)
+    object.__setattr__(bad, "construction", "odd-k-even-d")
+    object.__setattr__(bad, "sig", F2)
+    return bad
+
+
 class TestVerifyFreeClaim:
     def test_passes_small_cases(self):
         report = verify_free_claim(build_generators(4, 3), 3)
@@ -277,15 +295,7 @@ class TestVerifyFreeClaim:
 
     def test_injected_inverse_pair_fails(self):
         # a word and its inverse smuggled in as distinct members collapse
-        w = reduce([1, 2, 1], F2)
-        v = inverse(w)
-        bad = GeneratingSet.__new__(GeneratingSet)
-        object.__setattr__(bad, "elements", (w, v))
-        object.__setattr__(bad, "k", 3)
-        object.__setattr__(bad, "claimed_rank", 2)
-        object.__setattr__(bad, "construction", "odd-k-even-d")
-        object.__setattr__(bad, "sig", F2)
-        report = verify_free_claim(bad, 2)
+        report = verify_free_claim(injected_inverse_pair(), 2)
         assert not report.passed
         assert report.counterexample
 
@@ -312,6 +322,99 @@ class TestVerifyFreeClaim:
     def test_nmax_validation(self):
         with pytest.raises(ValueError):
             verify_free_claim(build_generators(3, 2), 0)
+
+
+def random_generating_set(rng: random.Random, sig: FreeProductSignature, k: int, rank: int):
+    """``rank`` random reduced words of length k, none equal to another's
+    inverse or to its own."""
+    words: list[tuple[int, ...]] = []
+    while len(words) < rank:
+        w: tuple[int, ...] = ()
+        while len(w) < k:
+            x = rng.choice(sig.alphabet())
+            if not (w and sig.letter_inverse(w[-1]) == x):
+                w += (x,)
+        taken = set(words) | {inverse(Word(v, sig)).letters for v in words}
+        if w not in taken and inverse(Word(w, sig)).letters != w:
+            words.append(w)
+    return GeneratingSet(tuple(Word(w, sig) for w in words), k, rank, "random", sig)
+
+
+class TestCertifyFreeClaim:
+    """The finite-state certificate against the bounded brute force."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_grid_passes(self, d, k):
+        report = certify_free_claim(build_generators(d, k))
+        assert report.passed and report.complete, (d, k, report)
+        assert report.verdict == "PASS"
+        assert not report.counterexample
+        assert str(report).startswith(f"PASS (every n, {report.states} states,")
+
+    def test_state_counts(self):
+        # (last k letters, last factor) pairs reachable in the closure
+        assert certify_free_claim(build_generators(4, 3)).states == 36
+        assert certify_free_claim(build_generators(4, 4)).states == 108
+        assert certify_free_claim(build_generators(5, 5)).states == 1280
+
+    def test_injected_inverse_pair_fails(self):
+        report = certify_free_claim(injected_inverse_pair())
+        assert not report.passed and not report.complete
+        assert report.verdict == "FAIL"
+        assert report.counterexample == ("a1a2a1", "A1A2A1")
+        assert report.message == "factor cancels more than l = 1 letters"
+        assert "; counterexample a1a2a1 . A1A2A1" in str(report)
+
+    def test_budget_marks_incomplete(self):
+        report = certify_free_claim(build_generators(5, 5), budget=50)
+        assert report.passed and not report.complete
+        assert report.checked == 50
+        assert report.verdict == "INCOMPLETE"
+        assert "INCOMPLETE" in str(report)
+
+    def test_even_k_suffix_law_fails(self):
+        # a1a2 . a2a3 = a1a3 cancels only l = 1 letter, but its last two
+        # letters are not those of the last factor a2a3.
+        gs = GeneratingSet((reduce([1, 2], INV3), reduce([2, 3], INV3)), 2, 2, "even-k", INV3)
+        report = certify_free_claim(gs)
+        assert not report.passed
+        assert report.counterexample == ("a1a2", "a2a3")
+        assert report.message == "last 2 letters differ from the last factor"
+        brute = verify_free_claim(gs, 2)
+        assert (brute.counterexample, brute.message) == (report.counterexample, report.message)
+
+    @pytest.mark.parametrize("sigs, ks", [
+        ((F2, F3), (3, 5)),
+        ((INV3, FreeProductSignature(0, 4)), (2, 4)),
+    ], ids=["odd-k", "even-k"])
+    def test_agrees_with_brute_force_on_random_sets(self, sigs, ks):
+        # A counterexample of the breadth-first certificate has the fewest
+        # factors of any, so the brute force at n <= 4 fails exactly when
+        # the certificate fails within 4 factors, and first at that depth.
+        rng = random.Random(20171)
+        outcomes = {"pass": 0, "fail within 4": 0, "fail beyond 4": 0}
+        for trial in range(240):
+            sig = sigs[trial % 2]
+            k = ks[trial // 2 % 2]
+            gs = random_generating_set(rng, sig, k, rank=2 + trial // 4 % 2)
+            certificate = certify_free_claim(gs)
+            brute = verify_free_claim(gs, 4)
+            assert certificate.complete == certificate.passed
+            assert brute.complete == brute.passed
+            n = len(certificate.counterexample)
+            if certificate.passed:
+                outcomes["pass"] += 1
+                assert brute.passed
+            elif n > 4:
+                outcomes["fail beyond 4"] += 1
+                assert brute.passed
+            else:
+                outcomes["fail within 4"] += 1
+                assert not brute.passed
+                assert not verify_free_claim(gs, n).passed
+                assert n == 1 or verify_free_claim(gs, n - 1).passed
+        assert outcomes["pass"] >= 20 and outcomes["fail within 4"] >= 20, outcomes
 
 
 class TestBallWords:
@@ -344,6 +447,27 @@ class TestBallWords:
         ]
 
 
+def forward_factorizations(d: int, k: int, max_length: int) -> dict:
+    """Oracle: enumerate every product s_1..s_n t forward, over admissible
+    palindromes s_i and remainders t of length <= l, and group the
+    factorizations by the element of length <= max_length they give."""
+    sig = FreeProductSignature(d // 2, 0)
+    l = k // 2
+    pals = [w.letters for w in build_generators(d, k).symmetrized()]
+    inverse_of = [pals.index(inverse(Word(p, sig)).letters) for p in pals]
+    found: dict = {g: [] for g in _ball_words(sig, max_length)}
+    # Products only grow (length >= 2l+n), so more than max_length - l
+    # factors cannot re-enter the ball after a remainder of length <= l.
+    n_cap = max(0, max_length - l)
+    prefixes = [((), (), ())] + list(_products(pals, inverse_of, sig.r, n_cap))
+    for seq, _, prod in prefixes:
+        for t in _ball_words(sig, l):
+            g = _multiply_raw(prod, t, sig.r)
+            if g in found:
+                found[g].append((tuple(pals[i] for i in seq), t))
+    return found
+
+
 class TestCosetFactorization:
     def test_short_elements_factor_as_themselves(self):
         report = verify_coset_factorization(4, 3, 1)
@@ -366,15 +490,40 @@ class TestCosetFactorization:
         with pytest.raises(ValueError):
             verify_coset_factorization(4, 2, 2)
 
+    @pytest.mark.parametrize("d, k, max_length", [(4, 3, 6), (6, 3, 4), (8, 3, 3)])
+    def test_decoding_matches_forward_enumeration(self, d, k, max_length):
+        oracle = forward_factorizations(d, k, max_length)
+        gs = build_generators(d, k)
+        palindromes = list(gs.symmetrized())
+        for g, factorizations in oracle.items():
+            decoded = decode_factorizations(Word(g, gs.sig), palindromes, k // 2)
+            letters = [(tuple(s.letters for s in seq), t.letters) for seq, t in decoded]
+            assert sorted(letters) == sorted(factorizations), g
+        for length in range(max_length + 1):
+            expected = all(len(oracle[g]) == 1 for g in oracle if len(g) <= length)
+            report = verify_coset_factorization(d, k, length)
+            assert report.complete and report.passed == expected, (length, report)
+            assert report.checked == certify_free_claim(gs).checked + ball_size(d, length)
+            assert report.n_max == max(0, length - k // 2)
+            assert f"all {ball_size(d, length)} elements" in report.message
+
+    def test_length_one_words(self):
+        # k = 1, l = 0: the factors are the letters, and every reduced word
+        # is its own unique factorization.
+        oracle = forward_factorizations(4, 1, 3)
+        assert all(len(f) == 1 for f in oracle.values())
+        assert verify_coset_factorization(4, 1, 3).passed
+
 
 VERIFIERS = {
     "free-claim": lambda budget: verify_free_claim(build_generators(3, 3), 3, budget=budget),
+    "certificate": lambda budget: certify_free_claim(build_generators(3, 3), budget=budget),
     "coset": lambda budget: verify_coset_factorization(4, 3, 4, budget=budget),
 }
 
 
 class TestBudgetRule:
-    """Both verifiers stop after ``budget`` items and report that many."""
+    """Every verifier stops after ``budget`` items and reports that many."""
 
     @pytest.mark.parametrize("name", sorted(VERIFIERS))
     @pytest.mark.parametrize("budget", [0, 10])
@@ -384,10 +533,18 @@ class TestBudgetRule:
         assert report.passed and not report.complete
         assert "budget" in report.message
 
-    @pytest.mark.parametrize("name, complete_count", [("free-claim", 186), ("coset", 7985)])
+    # The coset count is certificate transitions (396) plus elements decoded (161).
+    @pytest.mark.parametrize("name, complete_count",
+                             [("free-claim", 186), ("certificate", 60), ("coset", 557)])
     def test_a_budget_of_the_complete_count_completes(self, name, complete_count):
         assert VERIFIERS[name](DEFAULT_SEQUENCE_BUDGET).checked == complete_count
         report = VERIFIERS[name](complete_count)
         assert report.passed and report.complete
         assert report.checked == complete_count
         assert not VERIFIERS[name](complete_count - 1).complete
+
+    def test_coset_budget_spans_certificate_and_decoding(self):
+        # 396 transitions close the certificate; the rest go to decoding.
+        report = VERIFIERS["coset"](400)
+        assert report.checked == 400 and not report.complete
+        assert "budget of 400 items exceeded" in report.message
