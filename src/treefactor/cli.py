@@ -62,15 +62,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _budget(spec: str) -> int:
-    """The type of every --budget flag: an integer >= 0."""
-    try:
-        value = int(spec)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {spec!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type that accepts an integer >= ``low``, so a bad value
+    is a usage error before any work runs."""
+    def parse(spec: str) -> int:
+        try:
+            value = int(spec)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {spec!r}")
+        return value
+    return parse
+
+
+_budget = _int_at_least(0)  # the type of every --budget flag
 
 
 def _fmt(value) -> str:
@@ -483,7 +489,7 @@ def build_parser() -> _Parser:
                        help="build a length-k free generating set and verify it")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=3)
+    p.add_argument("--nmax", type=_int_at_least(1), default=3)
     p.add_argument("--budget", type=_budget, default=verifier_budget)
     p.set_defaults(func=cmd_generators)
 

@@ -911,23 +911,23 @@ def gaussian_cov(spec: GaussianSignSpec, k: int) -> float:
     # On-path vertices: distances (j, k-j); the endpoints carry alpha(0)=0.
     for j in range(1, k):
         total += scale * (j * (k - j)) ** (-0.5 - eps)
+    # pw[m - 1] = m^(-1/2-eps), so (j+n)^(-1/2-eps) over n = 1..n_max is pw[j:j+n_max].
+    pw = np.arange(1, D + 1, dtype=float) ** (-0.5 - eps)
     # Interior off-path classes.
     for j in range(1, k):
         n_max = D - max(j, k - j)
         if n_max < 1:
             continue
-        n = np.arange(1, n_max + 1, dtype=float)
         total += (
             (d - 2)
             / (d - 1)
             * scale
-            * float(np.sum((j + n) ** (-0.5 - eps) * (k - j + n) ** (-0.5 - eps)))
+            * float(np.sum(pw[j:j + n_max] * pw[k - j:k - j + n_max]))
         )
     # Behind each endpoint: distances (n, k+n).
     n_max = D - k
     if n_max >= 1:
-        n = np.arange(1, n_max + 1, dtype=float)
-        total += 2 * scale * float(np.sum(n ** (-0.5 - eps) * (n + k) ** (-0.5 - eps)))
+        total += 2 * scale * float(np.sum(pw[:n_max] * pw[k:k + n_max]))
     _require_tail(spec, k, total)
     return total
 

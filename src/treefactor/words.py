@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 DEFAULT_SEQUENCE_BUDGET = 10_000_000
 
 
@@ -369,30 +371,105 @@ class CertificateReport:
         return f"{status} ({scope}{self.states} states, {self.checked} transitions checked){extra}"
 
 
-def _admissible(s0: GeneratingSet) -> tuple[list[tuple[int, ...]], list[int]]:
-    # The set followed by its formal inverses, and the position of each
-    # factor's formal inverse.  Admissibility is formal (by position), so a
-    # degenerate set containing a word and its inverse as distinct members
-    # is caught rather than skipped.
-    rank = s0.claimed_rank
-    return [w.letters for w in s0.symmetrized()], list(range(rank, 2 * rank)) + list(range(rank))
+def _admissible(s0: GeneratingSet) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    # The set followed by its formal inverses, the position of each factor's
+    # formal inverse, and the length of the suffix a product must share with
+    # its last factor: l+1, except l for inverse factors at even k.
+    # Admissibility is formal (by position), so a degenerate set containing a
+    # word and its inverse as distinct members is caught rather than skipped.
+    rank, l = s0.claimed_rank, s0.half_length
+    inverse_of = list(range(rank, 2 * rank)) + list(range(rank))
+    sigma = [l + 1 if s0.k % 2 == 1 or i < rank else l for i in range(2 * rank)]
+    return [w.letters for w in s0.symmetrized()], inverse_of, sigma
 
 
-def _products(factors: Sequence[tuple[int, ...]], inverse_of: Sequence[int], r: int, n_max: int):
-    """Every sequence of 1..n_max factor indices in which no factor is
-    followed by its formal inverse ``inverse_of[i]``, depth-first, each with
-    the reduced product before and after its last factor."""
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] if n_max > 0 else []
-    while stack:
-        seq, prod = stack.pop()
-        for i, g in enumerate(factors):
-            if seq and i == inverse_of[seq[-1]]:
-                continue
-            new_seq = seq + (i,)
-            new_prod = _multiply_raw(prod, g, r)
-            yield new_seq, prod, new_prod
-            if len(new_seq) < n_max:
-                stack.append((new_seq, new_prod))
+# Parents expanded at once by ``verify_free_claim``; this bounds its working
+# memory whatever the size of a level.
+FREE_CLAIM_CHUNK = 256
+
+
+class _Factors:
+    """``_admissible`` as arrays: each factor's letters and inverted
+    letters, the index of its formal inverse and its suffix length."""
+
+    def __init__(self, s0: GeneratingSet):
+        gens, inverse_of, sigma = _admissible(s0)
+        self.letters = np.array(gens, dtype=np.min_scalar_type(-s0.sig.num_generators))
+        self.inverted = np.where(np.abs(self.letters) <= s0.sig.r, -self.letters, self.letters)
+        self.inverse_of = np.array(inverse_of)
+        self.sigma = np.array(sigma)
+
+
+class _Level:
+    """A chunk of admissible sequences of one length, in level order: each
+    sequence's factor indices, its full reduced product right-aligned in a
+    zero-padded row, the product's length and its parent's product length."""
+
+    def __init__(self, seq: np.ndarray, prod: np.ndarray, length: np.ndarray,
+                 parent_length: np.ndarray):
+        self.seq, self.prod, self.length, self.parent_length = seq, prod, length, parent_length
+
+    def __getitem__(self, rows: slice) -> "_Level":
+        return _Level(self.seq[rows], self.prod[rows], self.length[rows], self.parent_length[rows])
+
+
+def _children(parents: _Level, f: _Factors) -> _Level:
+    """Each parent followed by every factor but the formal inverse of its
+    last one, in that order, with the product ``_multiply_raw`` forms:
+    g_j cancels c letters, c being the number of leading matches of the
+    parent's letters read backwards against g_j's inverted letters, and
+    the child is prod[:len-c] + g_j[c:]."""
+    m, width = parents.prod.shape
+    k = f.letters.shape[1]
+    allowed = np.ones((m, len(f.letters)), dtype=bool)
+    if parents.seq.shape[1]:
+        allowed[np.arange(m), f.inverse_of[parents.seq[:, -1]]] = False
+    p, j = np.nonzero(allowed)
+    c = np.zeros(len(p), dtype=np.intp)
+    alive = np.ones(len(p), dtype=bool)
+    for t in range(min(k, width)):  # padding 0 matches no letter
+        alive &= parents.prod[p, width - 1 - t] == f.inverted[j, t]
+        if not alive.any():
+            break
+        c += alive
+    prod = np.concatenate([parents.prod.take(p, axis=0), f.letters.take(j, axis=0)], axis=1)
+    for cancelled in range(1, int(c.max()) + 1):
+        # The parent's kept letters move 2c places right, next to g_j[c:].
+        rows = np.nonzero(c == cancelled)[0]
+        shift = 2 * cancelled
+        end = min(width + shift, width + k)
+        prod[rows, shift:end] = prod[rows, : end - shift]
+        prod[rows, :shift] = 0
+        prod[rows, width + cancelled:] = f.letters[j[rows], cancelled:]
+    seq = np.concatenate([parents.seq.take(p, axis=0), j[:, None].astype(parents.seq.dtype)], axis=1)
+    length = parents.length[p]
+    return _Level(seq, prod, length + k - 2 * c, length)
+
+
+def _level_chunks(f: _Factors, n: int):
+    """The admissible sequences of n factors in level order, in chunks of
+    the children of at most ``FREE_CLAIM_CHUNK`` parents.  The shorter
+    levels are streamed again rather than stored, so memory stays flat."""
+    if n == 0:
+        empty = np.zeros(1, dtype=np.intp)
+        yield _Level(np.zeros((1, 0), dtype=np.min_scalar_type(len(f.letters))),
+                     np.zeros((1, 0), dtype=f.letters.dtype), empty, empty)
+        return
+    for level in _level_chunks(f, n - 1):
+        for start in range(0, len(level.length), FREE_CLAIM_CHUNK):
+            yield _children(level[start:start + FREE_CLAIM_CHUNK], f)
+
+
+def _free_claim_failure(level: _Level, f: _Factors, odd: bool, l: int) -> np.ndarray:
+    """Which sequences of a chunk break a law of ``verify_free_claim``; an
+    empty product breaks the suffix law, as sigma >= 1."""
+    n = level.seq.shape[1]
+    j = level.seq[:, -1]
+    bad = level.length < 2 * l + n if odd else level.length < level.parent_length
+    k = f.letters.shape[1]
+    for s in range(1, l + 2):  # the letter s places from the end; padding 0 matches none
+        bad |= (s <= f.sigma[j]) & (level.prod[:, -s] != f.letters[j, k - s])
+    return bad
 
 
 def verify_free_claim(
@@ -410,61 +487,64 @@ def verify_free_claim(
     * even k = 2l: length never decreases, and the last l (inverse
       factor) or l+1 (direct factor) letters match the last factor.
 
-    At most ``budget`` sequences are checked.  ``certify_free_claim``
+    The sequences are checked level by level: by length, then by their
+    factor indices, so a counterexample has the fewest factors of any and
+    a partial run covers the first ``budget`` sequences in that order.
+    Each product is formed in numpy from its parent's full reduced
+    product, ``FREE_CLAIM_CHUNK`` parents at a time.  ``certify_free_claim``
     proves the same laws for every n.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    gens, inverse_of = _admissible(s0)
-    rank = s0.claimed_rank
+    f = _Factors(s0)
     l = s0.half_length
     odd = s0.k % 2 == 1
 
     checked = 0
     min_len: Optional[int] = None
-    for seq, prod, new_prod in _products(gens, inverse_of, s0.sig.r, n_max):
-        if checked >= budget:
-            return VerificationReport(
-                passed=True,
-                complete=False,
-                checked=checked,
-                n_max=n_max,
-                min_product_length=min_len,
-                message=f"budget of {budget} sequences exceeded; partial result",
-            )
-        checked += 1
-        if min_len is None or len(new_prod) < min_len:
-            min_len = len(new_prod)
-
-        n = len(seq)
-        i = seq[-1]
-        g = gens[i]
-        failure = None
-        if not new_prod:
-            failure = "product reduces to the identity"
-        elif odd:
-            if len(new_prod) < 2 * l + n:
-                failure = f"product length {len(new_prod)} < {2 * l + n}"
-            elif new_prod[-(l + 1):] != g[-(l + 1):]:
-                failure = "last l+1 letters differ from the last factor"
-        else:
-            if len(new_prod) < len(prod):
-                failure = "product length decreased"
-            else:
-                suffix = l + 1 if i < rank else l
-                if new_prod[-suffix:] != g[-suffix:]:
-                    failure = f"last {suffix} letters differ from the last factor"
-        if failure is not None:
-            witness = tuple(word_to_str(Word(gens[j], s0.sig)) for j in seq)
-            return VerificationReport(
-                passed=False,
-                complete=False,
-                checked=checked,
-                n_max=n_max,
-                min_product_length=min_len,
-                counterexample=witness,
-                message=failure,
-            )
+    for n in range(1, n_max + 1):
+        for level in _level_chunks(f, n):
+            take = min(len(level.length), budget - checked)
+            bad = _free_claim_failure(level[:take], f, odd, l)
+            failed = bool(bad.any())
+            seen = int(np.argmax(bad)) + 1 if failed else take
+            checked += seen
+            if seen:
+                shortest = int(level.length[:seen].min())
+                min_len = shortest if min_len is None else min(min_len, shortest)
+            if failed:
+                seq = [int(x) for x in level.seq[seen - 1]]
+                new_len = int(level.length[seen - 1])
+                if new_len == 0:
+                    failure = "product reduces to the identity"
+                elif odd:
+                    if new_len < 2 * l + n:
+                        failure = f"product length {new_len} < {2 * l + n}"
+                    else:
+                        failure = "last l+1 letters differ from the last factor"
+                elif new_len < level.parent_length[seen - 1]:
+                    failure = "product length decreased"
+                else:
+                    failure = f"last {f.sigma[seq[-1]]} letters differ from the last factor"
+                factors = s0.symmetrized()
+                return VerificationReport(
+                    passed=False,
+                    complete=False,
+                    checked=checked,
+                    n_max=n_max,
+                    min_product_length=min_len,
+                    counterexample=tuple(word_to_str(factors[x]) for x in seq),
+                    message=failure,
+                )
+            if take < len(level.length):
+                return VerificationReport(
+                    passed=True,
+                    complete=False,
+                    checked=checked,
+                    n_max=n_max,
+                    min_product_length=min_len,
+                    message=f"budget of {budget} sequences exceeded; partial result",
+                )
 
     return VerificationReport(
         passed=True,
@@ -497,9 +577,8 @@ def certify_free_claim(
     counterexample has the fewest factors of any.  At most ``budget``
     transitions are checked.
     """
-    gens, inverse_of = _admissible(s0)
-    rank, k, l, r = s0.claimed_rank, s0.k, s0.half_length, s0.sig.r
-    sigma = [l + 1 if k % 2 == 1 or i < rank else l for i in range(2 * rank)]
+    gens, inverse_of, sigma = _admissible(s0)
+    k, l, r = s0.k, s0.half_length, s0.sig.r
     # cancels[j][t] cancels g_j[t], so c counts the matches of
     # product[-1], product[-2], ... against cancels[j][0], cancels[j][1], ...
     cancels = [tuple(-x if abs(x) <= r else x for x in g[: l + 1]) for g in gens]

@@ -479,6 +479,18 @@ class TestBudgetValidation:
         assert "argument --budget: must be an integer >= 0, got '-1'" in err
         assert refused == []
 
+    @pytest.mark.parametrize("nmax", ["0", "-3", "two"])
+    def test_nmax_below_one(self, capsys, refused, nmax):
+        # The certificate runs before the bounded search; a bad --nmax must
+        # not wait for it (d=6 k=6 took 1.9 s before its error).
+        with pytest.raises(SystemExit) as exc:
+            main(["generators", "--d", "6", "--k", "6", "--nmax", nmax])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert out == ""
+        assert f"argument --nmax: must be an integer >= 1, got {nmax!r}" in err
+        assert refused == []
+
     @pytest.mark.parametrize("argv", _BUDGET_COMMANDS[:2], ids=lambda argv: argv[0])
     def test_negative_env_var(self, capsys, monkeypatch, refused, argv):
         monkeypatch.setenv("TREEFACTOR_BUDGET", "-1")

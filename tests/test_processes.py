@@ -310,6 +310,27 @@ class TestGaussianCov:
             total += spec.alpha(du) * spec.alpha(dv)
         assert gaussian_cov(spec, k) == pytest.approx(total, abs=1e-12)
 
+    @pytest.mark.parametrize("D", [8, 1000, 300_000])
+    @pytest.mark.parametrize("eps", [0.25, 0.1])
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_power_table_is_bit_identical_to_one_pow_per_sum(self, d, D, eps):
+        # oracle: every class sum raises its own distances to -1/2-eps
+        spec = GaussianSignSpec(d, eps, D, tail_tol=None)
+        for k in range(1, 9):
+            scale = (d - 1) ** (-k / 2)
+            total = 0.0
+            for j in range(1, k):
+                total += scale * (j * (k - j)) ** (-0.5 - eps)
+            for j in range(1, k):
+                n = np.arange(1, D - max(j, k - j) + 1, dtype=float)
+                if len(n):
+                    total += (d - 2) / (d - 1) * scale * float(
+                        np.sum((j + n) ** (-0.5 - eps) * (k - j + n) ** (-0.5 - eps)))
+            n = np.arange(1, D - k + 1, dtype=float)
+            if len(n):
+                total += 2 * scale * float(np.sum(n ** (-0.5 - eps) * (n + k) ** (-0.5 - eps)))
+            assert gaussian_cov(spec, k) == total, k
+
     def test_nonnegative_and_decreasing(self):
         spec = GaussianSignSpec(3, 0.25, 60, tail_tol=None)
         values = [gaussian_cov(spec, k) for k in range(0, 10)]

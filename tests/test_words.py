@@ -1,21 +1,24 @@
 import json
 import random
+import tracemalloc
 from itertools import product
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treefactor import words
 from treefactor.tree import ball_size
 from treefactor.words import (
     CONSTRUCTION_EVEN_K,
     DEFAULT_SEQUENCE_BUDGET,
     FreeProductSignature,
     GeneratingSet,
+    VerificationReport,
     Word,
+    _admissible,
     _ball_words,
+    _level_chunks,
     _multiply_raw,
-    _products,
     build_generators,
     certify_free_claim,
     decode_factorizations,
@@ -282,6 +285,62 @@ def injected_inverse_pair() -> GeneratingSet:
     return bad
 
 
+def products(factors, inverse_of, r: int, n_max: int):
+    """Oracle: every sequence of 1..n_max factor indices in which no factor
+    is followed by its formal inverse ``inverse_of[i]``, depth-first, each
+    with the reduced product before and after its last factor."""
+    stack = [((), ())] if n_max > 0 else []
+    while stack:
+        seq, prod = stack.pop()
+        for i, g in enumerate(factors):
+            if seq and i == inverse_of[seq[-1]]:
+                continue
+            new_seq = seq + (i,)
+            new_prod = _multiply_raw(prod, g, r)
+            yield new_seq, prod, new_prod
+            if len(new_seq) < n_max:
+                stack.append((new_seq, new_prod))
+
+
+def scalar_verify_free_claim(gs: GeneratingSet, n_max: int, budget: int = DEFAULT_SEQUENCE_BUDGET,
+                             level_order: bool = False) -> VerificationReport:
+    """Oracle: ``verify_free_claim`` one sequence at a time on letter
+    tuples, over the depth-first walk or, with ``level_order``, over the
+    sequences sorted by length and then by factor indices."""
+    gens, inverse_of, sigma = _admissible(gs)
+    l = gs.half_length
+    walk = products(gens, inverse_of, gs.sig.r, n_max)
+    if level_order:
+        walk = sorted(walk, key=lambda item: (len(item[0]), item[0]))
+    checked = 0
+    min_len = None
+    for seq, prod, new_prod in walk:
+        if checked >= budget:
+            return VerificationReport(True, False, checked, n_max, min_len,
+                                      message=f"budget of {budget} sequences exceeded; partial result")
+        checked += 1
+        min_len = len(new_prod) if min_len is None else min(min_len, len(new_prod))
+        n, g = len(seq), gens[seq[-1]]
+        suffix = sigma[seq[-1]]
+        failure = None
+        if not new_prod:
+            failure = "product reduces to the identity"
+        elif gs.k % 2 == 1:
+            if len(new_prod) < 2 * l + n:
+                failure = f"product length {len(new_prod)} < {2 * l + n}"
+            elif new_prod[-suffix:] != g[-suffix:]:
+                failure = "last l+1 letters differ from the last factor"
+        elif len(new_prod) < len(prod):
+            failure = "product length decreased"
+        elif new_prod[-suffix:] != g[-suffix:]:
+            failure = f"last {suffix} letters differ from the last factor"
+        if failure is not None:
+            witness = tuple(word_to_str(Word(gens[j], gs.sig)) for j in seq)
+            return VerificationReport(False, False, checked, n_max, min_len, witness, failure)
+    return VerificationReport(True, True, checked, n_max, min_len,
+                              message="all admissible products stayed free of the identity")
+
+
 class TestVerifyFreeClaim:
     def test_passes_small_cases(self):
         report = verify_free_claim(build_generators(4, 3), 3)
@@ -340,6 +399,22 @@ def random_generating_set(rng: random.Random, sig: FreeProductSignature, k: int,
     return GeneratingSet(tuple(Word(w, sig) for w in words), k, rank, "random", sig)
 
 
+RANDOM_FAMILIES = pytest.mark.parametrize("sigs, ks", [
+    ((F2, F3), (3, 5)),
+    ((INV3, FreeProductSignature(0, 4)), (2, 4)),
+], ids=["odd-k", "even-k"])
+
+
+def random_sets(sigs, ks) -> list[GeneratingSet]:
+    """240 random sets of one family, the same on every call: ranks 2 and 3,
+    alternating signatures and lengths."""
+    rng = random.Random(20171)
+    return [
+        random_generating_set(rng, sigs[trial % 2], ks[trial // 2 % 2], rank=2 + trial // 4 % 2)
+        for trial in range(240)
+    ]
+
+
 class TestCertifyFreeClaim:
     """The finite-state certificate against the bounded brute force."""
 
@@ -384,20 +459,13 @@ class TestCertifyFreeClaim:
         brute = verify_free_claim(gs, 2)
         assert (brute.counterexample, brute.message) == (report.counterexample, report.message)
 
-    @pytest.mark.parametrize("sigs, ks", [
-        ((F2, F3), (3, 5)),
-        ((INV3, FreeProductSignature(0, 4)), (2, 4)),
-    ], ids=["odd-k", "even-k"])
+    @RANDOM_FAMILIES
     def test_agrees_with_brute_force_on_random_sets(self, sigs, ks):
         # A counterexample of the breadth-first certificate has the fewest
         # factors of any, so the brute force at n <= 4 fails exactly when
         # the certificate fails within 4 factors, and first at that depth.
-        rng = random.Random(20171)
         outcomes = {"pass": 0, "fail within 4": 0, "fail beyond 4": 0}
-        for trial in range(240):
-            sig = sigs[trial % 2]
-            k = ks[trial // 2 % 2]
-            gs = random_generating_set(rng, sig, k, rank=2 + trial // 4 % 2)
+        for gs in random_sets(sigs, ks):
             certificate = certify_free_claim(gs)
             brute = verify_free_claim(gs, 4)
             assert certificate.complete == certificate.passed
@@ -412,9 +480,108 @@ class TestCertifyFreeClaim:
             else:
                 outcomes["fail within 4"] += 1
                 assert not brute.passed
+                assert len(brute.counterexample) == n
                 assert not verify_free_claim(gs, n).passed
                 assert n == 1 or verify_free_claim(gs, n - 1).passed
         assert outcomes["pass"] >= 20 and outcomes["fail within 4"] >= 20, outcomes
+
+
+class TestLevelByLevel:
+    """The numpy level-by-level verifier against the scalar oracles above."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, words.FREE_CLAIM_CHUNK])
+    def test_products_are_the_reduced_products(self, monkeypatch, chunk):
+        # Every sequence, in level order, with its product as _multiply_raw
+        # forms it; injected_inverse_pair cancels factors completely.
+        monkeypatch.setattr(words, "FREE_CLAIM_CHUNK", chunk)
+        rng = random.Random(7)
+        sets = [build_generators(4, 3), build_generators(3, 4), injected_inverse_pair()]
+        sets += [random_generating_set(rng, sig, k, 2) for sig, k in ((F2, 1), (F3, 3), (INV3, 2))]
+        for gs in sets:
+            gens, inverse_of, _ = _admissible(gs)
+            expected = sorted(((seq, new_prod) for seq, _, new_prod
+                               in products(gens, inverse_of, gs.sig.r, 4)),
+                              key=lambda item: (len(item[0]), item[0]))
+            formed = []
+            for n in range(1, 5):
+                for level in _level_chunks(words._Factors(gs), n):
+                    width = level.prod.shape[1]
+                    assert width == n * gs.k
+                    for seq, row, length in zip(level.seq, level.prod, level.length):
+                        assert not row[: width - length].any()
+                        formed.append((tuple(int(x) for x in seq),
+                                       tuple(int(x) for x in row[width - length:])))
+            assert formed == expected
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_grid_matches_depth_first_oracle(self, d, k):
+        gs = build_generators(d, k)
+        report = verify_free_claim(gs, 3)
+        assert report.passed and report.complete
+        assert report == scalar_verify_free_claim(gs, 3)
+
+    @RANDOM_FAMILIES
+    def test_random_sets_match_level_order_oracle(self, sigs, ks):
+        failures = 0
+        for gs in random_sets(sigs, ks):
+            report = verify_free_claim(gs, 4)
+            # The first failing sequence by (length, factor indices), with
+            # the oracle's message, count and shortest product up to it.
+            assert report == scalar_verify_free_claim(gs, 4, level_order=True)
+            depth_first = scalar_verify_free_claim(gs, 4)
+            assert (report.passed, report.complete) == (depth_first.passed, depth_first.complete)
+            if report.passed:
+                assert report == depth_first
+            else:
+                failures += 1
+                assert len(report.counterexample) == len(certify_free_claim(gs).counterexample)
+        assert failures >= 20
+
+    @pytest.mark.parametrize("gs, n_max, budget", [
+        (build_generators(4, 3), 3, DEFAULT_SEQUENCE_BUDGET),
+        (build_generators(5, 5), 3, 2000),
+        (injected_inverse_pair(), 3, DEFAULT_SEQUENCE_BUDGET),
+        (GeneratingSet((reduce([1, 2], INV3), reduce([2, 3], INV3)), 2, 2, "even-k", INV3),
+         4, DEFAULT_SEQUENCE_BUDGET),
+    ], ids=["pass", "partial", "identity", "suffix"])
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch, gs, n_max, budget):
+        reports = []
+        for chunk in (1, 7, words.FREE_CLAIM_CHUNK):
+            monkeypatch.setattr(words, "FREE_CLAIM_CHUNK", chunk)
+            reports.append(verify_free_claim(gs, n_max, budget=budget))
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("d, k, n_max, chunk", [
+        (3, 3, 4, 7), (5, 5, 3, words.FREE_CLAIM_CHUNK),
+    ])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_budget_at_a_chunk_boundary(self, monkeypatch, d, k, n_max, chunk, offset):
+        # Levels 1 and 2, then the children of the first chunk of level-2 parents.
+        monkeypatch.setattr(words, "FREE_CLAIM_CHUNK", chunk)
+        gs = build_generators(d, k)
+        factors = 2 * gs.claimed_rank
+        assert factors * (factors - 1) > chunk
+        boundary = factors + factors * (factors - 1) + chunk * (factors - 1)
+        report = verify_free_claim(gs, n_max, budget=boundary + offset)
+        assert report.checked == boundary + offset
+        assert report.passed and not report.complete
+        if d == 3:  # the sorted oracle holds every sequence in memory
+            assert report == scalar_verify_free_claim(gs, n_max, boundary + offset,
+                                                      level_order=True)
+
+    def test_memory_stays_flat(self):
+        # numpy reports its buffers to tracemalloc; expanding the whole last
+        # level at once peaks at about 33 MiB here, 256-parent chunks at 2.3 MiB.
+        gs = build_generators(5, 5)
+        tracemalloc.start()
+        try:
+            report = verify_free_claim(gs, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.complete
+        assert peak <= 8 * 2**20, peak
 
 
 class TestBallWords:
@@ -459,7 +626,7 @@ def forward_factorizations(d: int, k: int, max_length: int) -> dict:
     # Products only grow (length >= 2l+n), so more than max_length - l
     # factors cannot re-enter the ball after a remainder of length <= l.
     n_cap = max(0, max_length - l)
-    prefixes = [((), (), ())] + list(_products(pals, inverse_of, sig.r, n_cap))
+    prefixes = [((), (), ())] + list(products(pals, inverse_of, sig.r, n_cap))
     for seq, _, prod in prefixes:
         for t in _ball_words(sig, l):
             g = _multiply_raw(prod, t, sig.r)
