@@ -20,6 +20,7 @@ SUM_TOLERANCE = 1e-12
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
 DEFAULT_TENSOR_BUDGET = 2**24
 _BOOTSTRAP_SALT = 0xB005
+_RESAMPLE_BLOCK = 1 << 16  # cells per block of bootstrap resamples; bounds their memory
 
 
 @dataclass(frozen=True)
@@ -172,14 +173,28 @@ def _correlation(m: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _ratio(cov, np.sqrt(var_f * var_g), (var_f > 0) & (var_g > 0))
 
 
-def _statistics(m: np.ndarray, f: Optional[np.ndarray] = None,
-                g: Optional[np.ndarray] = None) -> dict[str, np.ndarray]:
-    """Plug-in statistics of a joint matrix (0-d arrays) or of a stack of
-    them along a leading axis (one entry per joint); NaN where undefined.
-    Given value maps f and g, "corr" is the correlation of f(X) and g(Y)."""
-    h_x = _entropy(m.sum(axis=-1))
-    h_y = _entropy(m.sum(axis=-2))
-    h_xy = _entropy(m.reshape(*m.shape[:-2], -1))
+def _groups(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells in stable order of state, and where each state's run starts."""
+    order = np.argsort(states, kind="stable")
+    ordered = states[order]
+    return order, np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+
+
+def _statistics(p: np.ndarray, xs: tuple[np.ndarray, np.ndarray],
+                ys: tuple[np.ndarray, np.ndarray], within: Optional[np.ndarray],
+                values: Optional[tuple]) -> dict[str, np.ndarray]:
+    """Plug-in statistics of a joint law given by its cell probabilities
+    ``p`` (0-d arrays), or of a stack of such laws along a leading axis;
+    NaN where undefined.  ``xs`` and ``ys`` group the cells by X and by Y
+    state (see ``_groups``).  ``within`` (3 x cells) holds the entropies of
+    X, Y and (X, Y) given each cell, added by the chain rule.  Given
+    ``values`` = (shape, f, g), the cells are a dense row-major joint of
+    that shape and "corr" is the correlation of f(X) and g(Y)."""
+    h_x = _entropy(np.add.reduceat(p[..., xs[0]], xs[1], axis=-1))
+    h_y = _entropy(np.add.reduceat(p[..., ys[0]], ys[1], axis=-1))
+    h_xy = _entropy(p)
+    if within is not None:
+        h_x, h_y, h_xy = (h + p @ w for h, w in zip((h_x, h_y, h_xy), within))
     mi = h_x + h_y - h_xy
     stats = {
         "h_x": h_x,
@@ -191,37 +206,51 @@ def _statistics(m: np.ndarray, f: Optional[np.ndarray] = None,
         "nmi_x": _ratio(mi, h_x, h_x != 0.0),
         "nmi_y": _ratio(mi, h_y, h_y != 0.0),
     }
-    if f is not None:
-        stats["corr"] = _correlation(m, f, g)
+    if values is not None:
+        shape, f, g = values
+        stats["corr"] = _correlation(p.reshape(*p.shape[:-1], *shape), f, g)
     return stats
-
-
-def _resamples(J: JointDistribution) -> Optional[np.ndarray]:
-    """Frequency matrices of multinomial resamples of an empirical joint's
-    counts, stacked along a leading axis; None for an exact joint."""
-    prov = J.provenance
-    if prov.kind != "empirical" or prov.n_samples <= 0:
-        return None
-    flat = J.as_array.ravel()
-    flat = flat / flat.sum()
-    rng = np.random.default_rng([_BOOTSTRAP_SALT, prov.seed if prov.seed is not None else 0])
-    draws = rng.multinomial(prov.n_samples, flat, size=DEFAULT_BOOTSTRAP_RESAMPLES)
-    return draws.reshape(-1, *J.shape) / prov.n_samples
 
 
 class Estimates:
     """Plug-in statistics of a joint law and, for an empirical joint, of
     its bootstrap resamples, drawn once for every statistic.  Given value
-    maps f and g, the statistics include the correlation of f(X) and g(Y)."""
+    maps f and g, the statistics include the correlation of f(X) and g(Y).
+    The one path from a joint law to statistics and bootstrap resamples."""
 
     def __init__(self, J: JointDistribution, f: Optional[Sequence[float]] = None,
                  g: Optional[Sequence[float]] = None):
-        if f is not None:
-            f = np.asarray(f, dtype=float)
-            g = np.asarray(g, dtype=float)
-        stack = _resamples(J)
-        self.point = _statistics(J.as_array, f, g)
-        self.resampled = None if stack is None else _statistics(stack, f, g)
+        m = J.as_array
+        values = None if f is None else (m.shape, np.asarray(f, dtype=float),
+                                         np.asarray(g, dtype=float))
+        # Every grid cell, zero cells included: the resamples draw over all of them.
+        x, y = np.divmod(np.arange(m.size), m.shape[1])
+        self._estimate(m.ravel(), x, y, J.provenance, None, values)
+
+    @classmethod
+    def from_cells(cls, counts: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   seed: Optional[int], within: Optional[np.ndarray] = None) -> "Estimates":
+        """Estimates of an empirical joint from the sample count, X and Y state
+        and, optionally, ``within`` entropies of each cell (see ``_statistics``)."""
+        est = cls.__new__(cls)
+        n = int(np.sum(counts))
+        est._estimate(np.asarray(counts) / n, x, y, Provenance("empirical", n, seed), within, None)
+        return est
+
+    def _estimate(self, p: np.ndarray, x: np.ndarray, y: np.ndarray, prov: Provenance,
+                  within: Optional[np.ndarray], values: Optional[tuple]) -> None:
+        xs, ys = _groups(x), _groups(y)
+        self.point = _statistics(p, xs, ys, within, values)
+        self.resampled = None
+        if prov.kind != "empirical" or prov.n_samples <= 0:
+            return
+        rng = np.random.default_rng([_BOOTSTRAP_SALT, prov.seed if prov.seed is not None else 0])
+        n, total, flat = prov.n_samples, DEFAULT_BOOTSTRAP_RESAMPLES, p / p.sum()
+        # Drawn row by row, the blocks take the same variates as one draw would.
+        rows = max(1, _RESAMPLE_BLOCK // p.size)
+        blocks = [_statistics(rng.multinomial(n, flat, size=min(rows, total - start)) / n,
+                              xs, ys, within, values) for start in range(0, total, rows)]
+        self.resampled = {name: np.concatenate([b[name] for b in blocks]) for name in self.point}
 
     def quantity(self, name: str) -> MeasuredQuantity:
         """The named statistic with its bootstrap stderr.

@@ -26,12 +26,10 @@ from .errors import (
     TruncationError,
 )
 from .information import (
-    DEFAULT_BOOTSTRAP_RESAMPLES,
     Estimates,
     JointDistribution,
     MeasuredQuantity,
     UndefinedQuantityError,
-    _entropy,
     joint_from_counts,
     symmetric_binary_joint,
 )
@@ -241,25 +239,27 @@ def measurement_from_joint(
 ) -> ProcessMeasurement:
     """Derive H, I, I/H and the value correlation (with bootstrap stderr
     for empirical joints) from a joint law measured on ``region``."""
-    est = Estimates(J, x_values, y_values)
-    try:
-        corr = est.quantity("corr")
-    except UndefinedQuantityError:
-        corr = None
     return ProcessMeasurement(
         d=d,
         k=k,
         method=method,
         joint=J,
-        entropy_v=est.quantity("h_y"),
-        mi=est.quantity("mi"),
-        nmi=est.quantity("nmi_y"),
-        corr=corr,
+        **_statistic_fields(Estimates(J, x_values, y_values)),
         samples=samples,
         seed=seed,
         extra=tuple(extra),
         region=region,
     )
+
+
+def _statistic_fields(est: Estimates) -> dict[str, Optional[MeasuredQuantity]]:
+    """H, I and I/H of the second vertex, and the value correlation where defined."""
+    try:
+        corr = est.quantity("corr") if "corr" in est.point else None
+    except UndefinedQuantityError:
+        corr = None
+    return {"entropy_v": est.quantity("h_y"), "mi": est.quantity("mi"),
+            "nmi": est.quantity("nmi_y"), "corr": corr}
 
 
 def _two_balls(d: int, radius: int, k: int) -> tuple[BallRegion, list[int], list[int], tuple]:
@@ -729,74 +729,53 @@ def listing_finite_N_mi(
     {1..n_labels}.
 
     Colors within distance 2R+k are distinct, so matching colors identify
-    shared ball vertices exactly and the label contribution to every
-    entropy is a closed-form multiple of log(n_labels).  The color
-    patterns' own contribution is estimated empirically over all vertex
-    pairs at distance k of the colored graph; the ratio approaches the
-    listing fraction as n_labels grows.
+    shared ball vertices exactly.  The vertex pairs at distance k of the
+    colored graph give one cell per distinct pair of color patterns P_u,
+    P_v; given the cell, the labels add log(n_labels) times |P_u|, |P_v|
+    and |P_u|+|P_v|-|P_u & P_v| to the entropies, and
+    ``information.Estimates`` gives H, I, I/H and their bootstrap stderrs.
+    The ratio approaches the listing fraction as n_labels grows.
     """
     if n_labels < 2:
         raise ValueError("need at least 2 labels")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    G = coloring.graph
+    if d != G.d:
+        raise ValueError(f"d={d} does not match the colored graph's degree {G.d}")
     if coloring.separation < 2 * radius + k:
         raise ValueError(
             f"coloring separation {coloring.separation} < 2R+k = {2 * radius + k}"
         )
-    G = coloring.graph
     indptr, indices, depth = _balls(G, max(radius, k))
     # Balls are listed breadth-first, so the radius-R part of each comes first.
     colors = np.asarray(coloring.colors)
     ends = indptr[:-1] + _ball_sums(depth <= radius, indptr)
-    pats = [frozenset(colors[indices[a:b]].tolist()) for a, b in zip(indptr[:-1], ends)]
+    number: dict[frozenset, int] = {}  # color patterns, by first appearance
+    pattern = np.array([number.setdefault(frozenset(colors[indices[a:b]].tolist()), len(number))
+                        for a, b in zip(indptr[:-1], ends)])
     partners = depth == k
-    us = np.repeat(np.arange(G.n), np.diff(indptr))[partners]
-    patterns: dict[frozenset, int] = {}
-    pair_rows = []
-    ball_sizes = []
-    shared_sizes = []
-    for u, v in zip(us.tolist(), indices[partners].tolist()):
-        iu = patterns.setdefault(pats[u], len(patterns))
-        iv = patterns.setdefault(pats[v], len(patterns))
-        pair_rows.append((iu, iv))
-        ball_sizes.append(len(pats[v]))
-        shared_sizes.append(len(pats[u] & pats[v]))
-    if not pair_rows:
+    if not partners.any():
         raise ValueError(f"graph has no vertex pairs at distance {k}")
-
-    pairs = np.asarray(pair_rows, dtype=np.int64)
-    sizes = np.asarray(ball_sizes, dtype=float)
-    shared = np.asarray(shared_sizes, dtype=float)
-    log_n = math.log(n_labels)
-
-    def ratio_from(idx: np.ndarray) -> tuple[float, float, float]:
-        sel = pairs[idx]
-        total = len(idx)
-        _, joint_counts = np.unique(sel[:, 0] * len(patterns) + sel[:, 1], return_counts=True)
-        h_joint = _entropy(joint_counts / total)
-        h_u = _entropy(np.bincount(sel[:, 0]) / total)
-        h_v = _entropy(np.bincount(sel[:, 1]) / total)
-        mi_total = float(h_u + h_v - h_joint) + float(shared[idx].mean()) * log_n
-        h_total = float(h_v) + float(sizes[idx].mean()) * log_n
-        return mi_total / h_total, mi_total, h_total
-
-    all_idx = np.arange(len(pairs))
-    nmi_value, mi_value, h_value = ratio_from(all_idx)
-    rng = np.random.default_rng([0xC0105, coloring.seed])
-    resampled = [
-        ratio_from(rng.integers(0, len(pairs), size=len(pairs)))[0]
-        for _ in range(DEFAULT_BOOTSTRAP_RESAMPLES)
-    ]
-    nmi_stderr = float(np.std(resampled, ddof=1))
-
+    us = np.repeat(np.arange(G.n), np.diff(indptr))[partners]
+    cells, counts = np.unique(
+        pattern[us] * len(number) + pattern[indices[partners]], return_counts=True
+    )
+    pu, pv = np.divmod(cells, len(number))
+    patterns = list(number)
+    size = np.array([len(pat) for pat in patterns], dtype=float)
+    shared = np.array([len(patterns[a] & patterns[b]) for a, b in zip(pu.tolist(), pv.tolist())])
+    within = math.log(n_labels) * np.stack([size[pu], size[pv], size[pu] + size[pv] - shared])
+    est = Estimates.from_cells(counts, pu, pv, coloring.seed, within)
     return ProcessMeasurement(
         d=d,
         k=k,
         method="monte-carlo",
         joint=None,
-        entropy_v=MeasuredQuantity(h_value, 0.0, "plug-in"),
-        mi=MeasuredQuantity(mi_value, 0.0, "plug-in"),
-        nmi=MeasuredQuantity(nmi_value, nmi_stderr, "plug-in"),
-        corr=None,
-        samples=len(pairs),
+        **_statistic_fields(est),
+        samples=int(partners.sum()),
         seed=coloring.seed,
         extra=(("n_labels", float(n_labels)), ("R", float(radius))),
     )
@@ -946,14 +925,14 @@ def gaussian_sign_closed_form(spec: GaussianSignSpec, k: int) -> dict:
     The reported remainder bounds propagate the covariance truncation
     tails through the arcsine and MI maps.
     """
-    from .information import binary_symmetric_mi
-
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     cov0 = gaussian_cov(spec, 0)
     covk = gaussian_cov(spec, k) if k > 0 else cov0
     rho = max(-1.0, min(1.0, covk / cov0))
     corr = sign_corr(rho)
     q = (1.0 + corr) / 2.0
-    mi = binary_symmetric_mi(q)
+    mi = Estimates(symmetric_binary_joint(q)).quantity("mi").value
     tail0 = gaussian_cov_tail_bound(spec, 0)
     tailk = gaussian_cov_tail_bound(spec, k) if k > 0 else tail0
     rho_rem = (tailk + abs(rho) * tail0) / cov0
@@ -997,18 +976,8 @@ def gaussian_sign_measure(
         ("corr_remainder", closed["corr_remainder"]),
     )
     if samples == 0:
-        J = symmetric_binary_joint(closed["q"])
-        return ProcessMeasurement(
-            d=spec.d,
-            k=k,
-            method="closed-form",
-            joint=J,
-            entropy_v=MeasuredQuantity(float(_entropy(J.as_array.sum(axis=0))), 0.0, "closed-form"),
-            mi=MeasuredQuantity(closed["mi"], 0.0, "closed-form"),
-            nmi=MeasuredQuantity(closed["mi"] / math.log(2.0), 0.0, "closed-form"),
-            corr=MeasuredQuantity(closed["corr"], 0.0, "closed-form"),
-            extra=extra,
-        )
+        return measurement_from_joint(spec.d, k, symmetric_binary_joint(closed["q"]),
+                                      (1.0, -1.0), (1.0, -1.0), "closed-form", extra=extra)
     if samples < 1:
         raise ValueError("samples must be >= 0")
     if seed is None:

@@ -1,11 +1,14 @@
 import math
 import re
+import tracemalloc
+from dataclasses import fields
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
 from treefactor.errors import BudgetExceededError, TruncationError
+from treefactor.information import binary_symmetric_mi, symmetric_binary_joint
 from treefactor.processes import (
     GaussianSignSpec,
     _two_balls,
@@ -23,6 +26,7 @@ from treefactor.processes import (
     listing_normalized_mi,
     majority_rule,
     mc_joint,
+    measurement_from_joint,
     parity_rule,
     random_regular_graph,
     short_cycle_count,
@@ -285,6 +289,32 @@ class TestListing:
         with pytest.raises(ValueError):
             listing_finite_N_mi(3, 1, 1, 16, coloring)  # needs L >= 3
 
+    @pytest.mark.parametrize("d, radius, k, message", [
+        (3, -1, 1, "radius must be >= 0"),
+        (3, 0, 0, "k must be >= 1"),  # k=0 would pair each vertex with itself
+        (4, 0, 1, "does not match the colored graph's degree 3"),
+    ], ids=["radius", "k", "d"])
+    def test_rejects_inputs_it_cannot_measure(self, d, radius, k, message):
+        G = random_regular_graph(100, 3, seed=13)
+        coloring = sparse_coloring(G, 3, seed=14)
+        with pytest.raises(ValueError, match=message):
+            listing_finite_N_mi(d, radius, k, 16, coloring)
+
+    def test_memory_stays_flat_at_ten_thousand_vertices(self):
+        # 1.25 x the 14.8 MiB of the per-pair bootstrap that the shared
+        # resampler replaced; one draw of all 200 resamples over the
+        # distinct pattern pairs would take about 377 MiB.
+        G = random_regular_graph(10_000, 3, seed=3)
+        coloring = sparse_coloring(G, 4, seed=4)  # L = 2R+k for R=1, k=2
+        tracemalloc.start()
+        try:
+            pm = listing_finite_N_mi(3, 1, 2, 16, coloring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 14.8 * 2**20
+        assert min(pm.entropy_v.stderr, pm.mi.stderr, pm.nmi.stderr) > 0
+
 
 class TestGaussianCov:
     def test_variance_matches_sphere_sum(self):
@@ -443,6 +473,26 @@ class TestGaussianSignMeasure:
         assert pm.mi.value == pytest.approx(cf["mi"], abs=1e-15)
         assert pm.corr.value == pytest.approx(cf["corr"], abs=1e-15)
         assert pm.joint.as_array[0, 0] == pytest.approx(cf["q"] / 2, abs=1e-15)
+
+    def test_closed_form_is_the_kernel_measurement(self):
+        spec = GaussianSignSpec(3, 0.25, 200, tail_tol=None)
+        for k in (0, 1, 3, 7):
+            pm = gaussian_sign_measure(spec, k, 0)
+            cf = gaussian_sign_closed_form(spec, k)
+            want = measurement_from_joint(3, k, symmetric_binary_joint(cf["q"]), (1.0, -1.0),
+                                          (1.0, -1.0), "closed-form", extra=pm.extra)
+            for f in fields(pm):
+                assert getattr(pm, f.name) == getattr(want, f.name), (k, f.name)
+            assert dict(pm.extra)["closed_form_mi"] == pm.mi.value == cf["mi"]
+            assert cf["mi"] == pytest.approx(binary_symmetric_mi(cf["q"]), abs=1e-15)
+
+    def test_negative_distance_rejected(self):
+        # k=-1 must not fall back to the k=0 law (I = log 2, I/H = 1)
+        spec = GaussianSignSpec(3, 0.25, 6, tail_tol=None)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            gaussian_sign_closed_form(spec, -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            gaussian_sign_measure(spec, -1, 0)
 
     def test_vanishing_correlation_gives_vanishing_mi(self):
         spec = GaussianSignSpec(3, 2.0, 120, tail_tol=None)

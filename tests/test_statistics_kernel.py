@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from treefactor import information
 from treefactor.errors import UndefinedQuantityError
 from treefactor.information import (
     DEFAULT_BOOTSTRAP_RESAMPLES,
@@ -190,6 +191,19 @@ def test_one_multinomial_draw_per_measurement(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("cells", [6, 5000])
+def test_resample_blocks_match_one_draw(monkeypatch, cells):
+    rng = np.random.default_rng(cells)
+    counts = rng.integers(0, 5, size=cells)
+    x, y = np.divmod(np.arange(cells), 3 if cells == 6 else 50)
+    stderrs = []
+    for block in (1 << 40, information._RESAMPLE_BLOCK, 7 * cells, 1):
+        monkeypatch.setattr(information, "_RESAMPLE_BLOCK", block)
+        est = Estimates.from_cells(counts, x, y, seed=17)
+        stderrs.append([est.quantity(name).stderr for name in ("h_x", "h_y", "mi", "nmi_y")])
+    assert all(s == stderrs[0] for s in stderrs), stderrs
+
+
 # ---------------------------------------------------------------------------
 # listing_finite_N_mi: dict-based pattern counts as the reference
 # ---------------------------------------------------------------------------
@@ -226,43 +240,50 @@ def _vertices_at_distance(G, u, k):
 
 
 def ref_listing(radius, k, n_labels, coloring, resamples=DEFAULT_BOOTSTRAP_RESAMPLES):
+    """(I/H, I, H) of the listing process from dict-based counts of the
+    pattern pairs, and the bootstrap stderr of each.  Patterns are numbered
+    by first appearance, vertex by vertex; the resamples are multinomial
+    draws over the distinct pattern pairs in increasing order."""
     G = coloring.graph
     colors = coloring.colors
-    patterns = {}
-    pair_rows, ball_sizes, shared_sizes = [], [], []
+    pats = [frozenset(colors[w] for w in _within_distance(G.adjacency, [u], radius))
+            for u in range(G.n)]
+    index = {}
+    for pat in pats:
+        index.setdefault(pat, len(index))
+    counts, ball_size, shared_size = {}, {}, {}
     for u in range(G.n):
-        pat_u = frozenset(colors[w] for w in _within_distance(G.adjacency, [u], radius))
         for v in _vertices_at_distance(G, u, k):
-            pat_v = frozenset(colors[w] for w in _within_distance(G.adjacency, [v], radius))
-            iu = patterns.setdefault(pat_u, len(patterns))
-            iv = patterns.setdefault(pat_v, len(patterns))
-            pair_rows.append((iu, iv))
-            ball_sizes.append(len(pat_v))
-            shared_sizes.append(len(pat_u & pat_v))
-    pairs = np.asarray(pair_rows, dtype=np.int64)
-    sizes = np.asarray(ball_sizes, dtype=float)
-    shared = np.asarray(shared_sizes, dtype=float)
+            cell = (index[pats[u]], index[pats[v]])
+            counts[cell] = counts.get(cell, 0) + 1
+            ball_size[cell] = len(pats[v])
+            shared_size[cell] = len(pats[u] & pats[v])
     log_n = math.log(n_labels)
 
-    def ratio_from(idx):
-        joint_counts = {}
-        for a, b in pairs[idx].tolist():
-            joint_counts[(a, b)] = joint_counts.get((a, b), 0) + 1
-        total = len(idx)
-        pj = np.asarray(list(joint_counts.values()), dtype=float) / total
+    def ratio_from(cell_counts):
+        total = sum(cell_counts.values())
+        pj = np.asarray(list(cell_counts.values()), dtype=float) / total
         first, second = {}, {}
-        for (a, b), c in joint_counts.items():
+        for (a, b), c in cell_counts.items():
             first[a] = first.get(a, 0) + c / total
             second[b] = second.get(b, 0) + c / total
         h_v = ref_entropy(np.asarray(list(second.values())))
         mi_pat = ref_entropy(np.asarray(list(first.values()))) + h_v - ref_entropy(pj)
-        mi_total = mi_pat + float(shared[idx].mean()) * log_n
-        return mi_total / (h_v + float(sizes[idx].mean()) * log_n)
+        shared = sum(c * shared_size[cell] for cell, c in cell_counts.items()) / total
+        size = sum(c * ball_size[cell] for cell, c in cell_counts.items()) / total
+        mi_total = mi_pat + shared * log_n
+        h_total = h_v + size * log_n
+        return mi_total / h_total, mi_total, h_total
 
-    rng = np.random.default_rng([0xC0105, coloring.seed])
-    resampled = [ratio_from(rng.integers(0, len(pairs), size=len(pairs)))
-                 for _ in range(resamples)]
-    return ratio_from(np.arange(len(pairs))), float(np.std(resampled, ddof=1))
+    cells = sorted(counts)
+    n = sum(counts.values())
+    p = np.asarray([counts[cell] for cell in cells]) / n
+    rng = np.random.default_rng([_BOOTSTRAP_SALT, coloring.seed])
+    draws = rng.multinomial(n, p / p.sum(), size=resamples)
+    resampled = [ratio_from({cell: c for cell, c in zip(cells, row) if c > 0})
+                 for row in draws.tolist()]
+    stderrs = np.std(np.asarray(resampled), axis=0, ddof=1)
+    return [(value, float(stderr)) for value, stderr in zip(ratio_from(counts), stderrs)]
 
 
 def greedy_coloring(G, separation, seed):
@@ -279,7 +300,9 @@ def test_listing_matches_dict_reference(radius, k):
     G = random_regular_graph(200, 3, seed=5)
     coloring = greedy_coloring(G, 2 * radius + k, seed=11)
     pm = listing_finite_N_mi(3, radius, k, 16, coloring)
-    nmi, stderr = ref_listing(radius, k, 16, coloring)
-    assert pm.nmi.value == pytest.approx(nmi, rel=1e-12)
-    assert pm.nmi.stderr == pytest.approx(stderr, rel=1e-12)
+    want = ref_listing(radius, k, 16, coloring)
+    for got, (value, stderr) in zip((pm.nmi, pm.mi, pm.entropy_v), want):
+        assert got.value == pytest.approx(value, rel=1e-12)
+        assert got.stderr == pytest.approx(stderr, rel=1e-12)
+        assert got.stderr > 0
     assert pm.nmi.value <= float(normalized_mi_bound(3, k)) + 3 * pm.nmi.stderr
