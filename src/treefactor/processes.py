@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -813,6 +814,20 @@ class GaussianSignSpec:
             return 0.0
         return j ** (-0.5 - self.eps) / (self.d - 1) ** (j / 2)
 
+    # The two tables below are built once per spec and shared by every k:
+    # a `gaussian` sweep makes one spec, so neither outlives its CLI call.
+
+    @cached_property
+    def _powers(self) -> np.ndarray:
+        """pw[m - 1] = m^(-1/2-eps) for m = 1..D."""
+        return np.arange(1, self.truncation_radius + 1, dtype=float) ** (-0.5 - self.eps)
+
+    @cached_property
+    def _variance(self) -> float:
+        """The truncated variance d/(d-1) * sum over j = 1..D of j^(-1-2eps)."""
+        j = np.arange(1, self.truncation_radius + 1, dtype=float)
+        return self.d / (self.d - 1) * float(np.sum(j ** (-1 - 2 * self.eps)))
+
 
 def gaussian_cov_tail_bound(spec: GaussianSignSpec, k: int) -> float:
     """Upper bound on the covariance mass beyond the truncation radius
@@ -880,10 +895,8 @@ def gaussian_cov(spec: GaussianSignSpec, k: int) -> float:
     if D < k:
         raise ValueError(f"truncation radius {D} < k = {k}")
     if k == 0:
-        j = np.arange(1, D + 1, dtype=float)
-        value = d / (d - 1) * float(np.sum(j ** (-1 - 2 * eps)))
-        _require_tail(spec, 0, value)
-        return value
+        _require_tail(spec, 0, spec._variance)
+        return spec._variance
 
     scale = (d - 1) ** (-k / 2)
     total = 0.0
@@ -891,7 +904,7 @@ def gaussian_cov(spec: GaussianSignSpec, k: int) -> float:
     for j in range(1, k):
         total += scale * (j * (k - j)) ** (-0.5 - eps)
     # pw[m - 1] = m^(-1/2-eps), so (j+n)^(-1/2-eps) over n = 1..n_max is pw[j:j+n_max].
-    pw = np.arange(1, D + 1, dtype=float) ** (-0.5 - eps)
+    pw = spec._powers
     # Interior off-path classes.
     for j in range(1, k):
         n_max = D - max(j, k - j)
@@ -919,12 +932,9 @@ def sign_corr(rho: float) -> float:
     return 2.0 / math.pi * math.asin(rho)
 
 
-def gaussian_sign_closed_form(spec: GaussianSignSpec, k: int) -> dict:
-    """Closed-form path: truncated covariance -> arcsine law -> binary MI.
-
-    The reported remainder bounds propagate the covariance truncation
-    tails through the arcsine and MI maps.
-    """
+def _sign_law(spec: GaussianSignSpec, k: int) -> dict:
+    """The closed form without its MI: truncated covariance -> arcsine law,
+    with the truncation tails propagated through both maps."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     cov0 = gaussian_cov(spec, 0)
@@ -932,7 +942,6 @@ def gaussian_sign_closed_form(spec: GaussianSignSpec, k: int) -> dict:
     rho = max(-1.0, min(1.0, covk / cov0))
     corr = sign_corr(rho)
     q = (1.0 + corr) / 2.0
-    mi = Estimates(symmetric_binary_joint(q)).quantity("mi").value
     tail0 = gaussian_cov_tail_bound(spec, 0)
     tailk = gaussian_cov_tail_bound(spec, k) if k > 0 else tail0
     rho_rem = (tailk + abs(rho) * tail0) / cov0
@@ -947,11 +956,63 @@ def gaussian_sign_closed_form(spec: GaussianSignSpec, k: int) -> dict:
         "rho": rho,
         "corr": corr,
         "q": q,
-        "mi": mi,
         "rho_remainder": rho_rem,
         "corr_remainder": corr_rem,
         "mi_remainder": mi_rem,
     }
+
+
+def gaussian_sign_closed_form(spec: GaussianSignSpec, k: int) -> dict:
+    """Closed-form path: truncated covariance -> arcsine law -> binary MI.
+
+    The reported remainder bounds propagate the covariance truncation
+    tails through the arcsine and MI maps.
+    """
+    law = _sign_law(spec, k)
+    return {**law, "mi": Estimates(symmetric_binary_joint(law["q"])).quantity("mi").value}
+
+
+def _sign_extra(law: dict, mi: float) -> tuple[tuple[str, float], ...]:
+    """The closed-form values that every sign-process measurement reports."""
+    return (
+        ("rho", law["rho"]),
+        ("closed_form_corr", law["corr"]),
+        ("closed_form_mi", mi),
+        ("mi_remainder", law["mi_remainder"]),
+        ("corr_remainder", law["corr_remainder"]),
+    )
+
+
+def _sign_pair_weights(
+    spec: GaussianSignSpec, k: int
+) -> tuple[BallRegion, np.ndarray, np.ndarray]:
+    """The union of the truncation balls at u and v = k steps from u, and
+    the weights of Y_u = w_u . Z and Y_v = w_v . Z on its vertices."""
+    D = spec.truncation_radius
+    region, ball_u, ball_v, _ = _two_balls(spec.d, D, k)
+    # A ball lists its positions level by level: depth j fills sphere_size(d, j) of them.
+    depth = np.repeat(np.arange(D + 1), [sphere_size(spec.d, j) for j in range(D + 1)])
+    alpha = np.array([spec.alpha(j) for j in range(D + 1)])[depth]
+    w_u = np.zeros(len(region.vertices))
+    w_v = np.zeros(len(region.vertices))
+    w_u[ball_u] = alpha
+    w_v[ball_v] = alpha
+    return region, w_u, w_v
+
+
+def _pair_factor(w_u: np.ndarray, w_v: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L L^T = Sigma, the covariance of (w_u . Z,
+    w_v . Z) for i.i.d. standard normal Z, from the region's dot products.
+
+    L = [[a, 0], [b, c]] with a = sqrt(S_uu), b = S_uv / a and c^2 =
+    det(Sigma) / S_uu, clipped at 0.  Sigma has rank 1 at k = 0, where
+    Cholesky fails; there w_u = w_v, so the two products of the determinant
+    are the same float and c is exactly 0.
+    """
+    s_uu, s_uv, s_vv = float(w_u @ w_u), float(w_u @ w_v), float(w_v @ w_v)
+    a = math.sqrt(s_uu)
+    c = math.sqrt(max(s_uu * s_vv - s_uv * s_uv, 0.0)) / a
+    return np.array([[a, 0.0], [s_uv / a, c]])
 
 
 def gaussian_sign_measure(
@@ -962,58 +1023,43 @@ def gaussian_sign_measure(
 ) -> ProcessMeasurement:
     """Measurement of the sign process at distance k.
 
-    With samples == 0, returns the closed-form law.  Otherwise simulates
-    the truncated linear factor on the explicit union of the two
-    truncation balls (so the Monte Carlo path shares nothing with the
-    arcsine/binary-MI closed form beyond the coefficient definitions).
+    With samples == 0, returns the closed-form law.  Otherwise builds the
+    weights of Y_u and Y_v on the explicit union of the two truncation
+    balls, takes their 2x2 covariance from the three dot products of those
+    weights, and draws (Y_u, Y_v) as two standard normals per sample mapped
+    through a lower-triangular factor of it.  The pair has the law of the
+    truncated linear factor, and the Monte Carlo path shares nothing with
+    the class sums of the arcsine/binary-MI closed form beyond the
+    coefficient definitions.
     """
-    closed = gaussian_sign_closed_form(spec, k)
-    extra = (
-        ("rho", closed["rho"]),
-        ("closed_form_corr", closed["corr"]),
-        ("closed_form_mi", closed["mi"]),
-        ("mi_remainder", closed["mi_remainder"]),
-        ("corr_remainder", closed["corr_remainder"]),
-    )
+    law = _sign_law(spec, k)
+    J = symmetric_binary_joint(law["q"])
     if samples == 0:
-        return measurement_from_joint(spec.d, k, symmetric_binary_joint(closed["q"]),
-                                      (1.0, -1.0), (1.0, -1.0), "closed-form", extra=extra)
+        pm = measurement_from_joint(spec.d, k, J, (1.0, -1.0), (1.0, -1.0), "closed-form")
+        return replace(pm, extra=_sign_extra(law, pm.mi.value))
     if samples < 1:
         raise ValueError("samples must be >= 0")
     if seed is None:
         raise ValueError("Monte Carlo requires a seed")
-    D = spec.truncation_radius
-    region, ball_u, ball_v, _ = _two_balls(spec.d, D, k)
-    # A ball lists its positions level by level: depth j fills sphere_size(d, j) of them.
-    depth = np.repeat(np.arange(D + 1), [sphere_size(spec.d, j) for j in range(D + 1)])
-    alpha = np.array([spec.alpha(j) for j in range(D + 1)])[depth]
-    w_u = np.zeros(len(region.vertices))
-    w_v = np.zeros(len(region.vertices))
-    w_u[ball_u] = alpha
-    w_v[ball_v] = alpha
+    region, w_u, w_v = _sign_pair_weights(spec, k)
+    factor_t = _pair_factor(w_u, w_v).T
     rng = np.random.Generator(np.random.Philox(key=seed))
     counts = np.zeros(4, dtype=np.int64)
-    buf = np.empty((min(MC_CHUNK, samples), len(region.vertices)))
     remaining = samples
     while remaining > 0:
         chunk = min(MC_CHUNK, remaining)
-        z = rng.standard_normal(out=buf[:chunk])
-        yu = z @ w_u
-        yv = z @ w_v
-        su = (yu < 0).astype(np.int64)  # sign(0) counts as +1, index 0
-        sv = (yv < 0).astype(np.int64)
-        counts += np.bincount(2 * su + sv, minlength=4)
+        negative = (rng.standard_normal((chunk, 2)) @ factor_t < 0).astype(np.int64)
+        counts += np.bincount(2 * negative[:, 0] + negative[:, 1], minlength=4)  # sign(0) is +1
         remaining -= chunk
-    J = joint_from_counts(counts.reshape(2, 2), seed)
     return measurement_from_joint(
         spec.d,
         k,
-        J,
+        joint_from_counts(counts.reshape(2, 2), seed),
         (1.0, -1.0),
         (1.0, -1.0),
         "monte-carlo",
         samples=samples,
         seed=seed,
-        extra=extra,
+        extra=_sign_extra(law, Estimates(J).quantity("mi").value),
         region=region,
     )

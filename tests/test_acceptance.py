@@ -147,13 +147,14 @@ def test_criterion_07_exchangeable_functional_correlation():
 def test_criterion_08_gaussian_sign_pipeline():
     t0 = time.perf_counter()
     ok = True
-    # Monte Carlo against the arcsine/binary-MI closed form, same truncation.
+    # Monte Carlo against the arcsine/binary-MI closed form, same truncation,
+    # so only sampling noise separates them.
     spec_mc = GaussianSignSpec(3, 0.25, 8, tail_tol=None)
     for k in (1, 2, 3, 4):
         cf = gaussian_sign_closed_form(spec_mc, k)
         mc = gaussian_sign_measure(spec_mc, k, 100_000, seed=20260811 + k)
-        ok = ok and abs(mc.corr.value - cf["corr"]) <= 3 * mc.corr.stderr + cf["corr_remainder"]
-        ok = ok and abs(mc.mi.value - cf["mi"]) <= 3 * mc.mi.stderr + cf["mi_remainder"]
+        ok = ok and abs(mc.corr.value - cf["corr"]) <= 4 * mc.corr.stderr
+        ok = ok and abs(mc.mi.value - cf["mi"]) <= 4 * mc.mi.stderr
     # Closed-form sweep at a deep truncation: bound compliance and growth.
     spec_cf = GaussianSignSpec(3, 0.25, 300_000, tail_tol=None)
     scaled = []

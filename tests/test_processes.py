@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from treefactor.errors import BudgetExceededError, TruncationError
-from treefactor.information import binary_symmetric_mi, symmetric_binary_joint
+from treefactor.information import Estimates, binary_symmetric_mi, symmetric_binary_joint
 from treefactor.processes import (
+    DEFAULT_REGION_VERTEX_BUDGET,
     GaussianSignSpec,
+    _pair_factor,
+    _sign_pair_weights,
     _two_balls,
     canonical_ball_code,
     check_sparse_coloring,
@@ -464,6 +467,57 @@ class TestSignCorr:
             sign_corr(1.1)
 
 
+# (d, D) pairs whose two truncation balls fit the region budget at every k <= D
+PAIR_RADII = [(3, 1), (3, 4), (3, 10), (4, 2), (4, 6), (5, 3), (5, 5)]
+
+
+class TestSignPairCovariance:
+    """The Monte Carlo path takes Sigma from the region's dot products; the
+    closed form sums over distance classes.  They must agree."""
+
+    @pytest.mark.parametrize("d, D", PAIR_RADII)
+    def test_region_sums_match_class_sums_and_the_factor(self, d, D):
+        assert 2 * ball_size(d, D) <= DEFAULT_REGION_VERTEX_BUDGET
+        spec = GaussianSignSpec(d, 0.25, D, tail_tol=None)
+        var = gaussian_cov(spec, 0)
+        for k in range(D + 1):
+            _, w_u, w_v = _sign_pair_weights(spec, k)
+            assert w_u @ w_v == pytest.approx(gaussian_cov(spec, k), rel=1e-12), k
+            assert w_u @ w_u == pytest.approx(var, rel=1e-12), k
+            assert w_v @ w_v == pytest.approx(var, rel=1e-12), k
+            # and the sampler's factor reproduces Sigma
+            L = _pair_factor(w_u, w_v)
+            sigma = np.array([[w_u @ w_u, w_u @ w_v], [w_v @ w_u, w_v @ w_v]])
+            assert L[0, 1] == 0.0
+            np.testing.assert_allclose(L @ L.T, sigma, rtol=1e-12, atol=0)
+
+    def test_rank_one_factor_at_distance_zero(self):
+        spec = GaussianSignSpec(4, 0.25, 3, tail_tol=None)
+        _, w_u, w_v = _sign_pair_weights(spec, 0)
+        sigma = np.array([[w_u @ w_u, w_u @ w_v], [w_v @ w_u, w_v @ w_v]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+        L = _pair_factor(w_u, w_v)
+        assert L[1, 1] == 0.0 and L[1, 0] == pytest.approx(L[0, 0], rel=1e-15)
+        np.testing.assert_allclose(L @ L.T, sigma, rtol=1e-12, atol=0)
+
+
+class TestGaussianClosedFormTables:
+    def test_one_spec_for_every_k_gives_the_fresh_spec_values(self):
+        # The power table and the variance are built once per spec; reusing
+        # them across k must not change a bit of the closed form.
+        shared = GaussianSignSpec(3, 0.25, 300_000, tail_tol=None)
+        for k in range(1, 9):
+            fresh = GaussianSignSpec(3, 0.25, 300_000, tail_tol=None)
+            assert gaussian_sign_closed_form(shared, k) == gaussian_sign_closed_form(fresh, k)
+
+    def test_tail_check_runs_on_every_call(self):
+        spec = GaussianSignSpec(3, 0.25, 10, tail_tol=1e-4)
+        for _ in range(2):
+            with pytest.raises(TruncationError):
+                gaussian_cov(spec, 0)
+
+
 class TestGaussianSignMeasure:
     def test_closed_form_measurement(self):
         spec = GaussianSignSpec(3, 0.25, 200, tail_tol=None)
@@ -486,6 +540,14 @@ class TestGaussianSignMeasure:
             assert dict(pm.extra)["closed_form_mi"] == pm.mi.value == cf["mi"]
             assert cf["mi"] == pytest.approx(binary_symmetric_mi(cf["q"]), abs=1e-15)
 
+    def test_closed_form_measurement_runs_the_kernel_once(self, monkeypatch):
+        calls = []
+        real = Estimates._estimate
+        monkeypatch.setattr(Estimates, "_estimate",
+                            lambda self, *a: calls.append(1) or real(self, *a))
+        gaussian_sign_measure(GaussianSignSpec(3, 0.25, 200, tail_tol=None), 2, 0)
+        assert len(calls) == 1
+
     def test_negative_distance_rejected(self):
         # k=-1 must not fall back to the k=0 law (I = log 2, I/H = 1)
         spec = GaussianSignSpec(3, 0.25, 6, tail_tol=None)
@@ -500,11 +562,45 @@ class TestGaussianSignMeasure:
         assert mi_far < 1e-6
 
     def test_monte_carlo_agrees_with_closed_form(self):
+        # Both use truncation radius D, so the remainder (the distance to
+        # D = infinity) has no place in the tolerance.
         spec = GaussianSignSpec(3, 0.25, 7, tail_tol=None)
         cf = gaussian_sign_closed_form(spec, 2)
         mc = gaussian_sign_measure(spec, 2, 50_000, seed=2718)
-        assert abs(mc.corr.value - cf["corr"]) <= 3 * mc.corr.stderr + cf["corr_remainder"]
-        assert abs(mc.mi.value - cf["mi"]) <= 3 * mc.mi.stderr + cf["mi_remainder"]
+        assert abs(mc.corr.value - cf["corr"]) <= 4 * mc.corr.stderr
+        assert abs(mc.mi.value - cf["mi"]) <= 4 * mc.mi.stderr
+
+    def test_monte_carlo_corr_z_scores_are_calibrated(self):
+        # 200 seeded runs: the corr z-scores against the closed form at the
+        # same D must look standard normal, or the stderr misstates the noise.
+        spec = GaussianSignSpec(3, 0.25, 8, tail_tol=None)
+        want = gaussian_sign_closed_form(spec, 2)["corr"]
+        z = []
+        for seed in range(4200, 4400):
+            mc = gaussian_sign_measure(spec, 2, 10_000, seed=seed)
+            z.append((mc.corr.value - want) / mc.corr.stderr)
+        assert abs(np.mean(z)) <= 0.25
+        assert 0.8 <= np.std(z, ddof=1) <= 1.2
+
+    def test_monte_carlo_at_distance_zero_is_one_sign(self):
+        # Sigma has rank 1 at k = 0; a plain Cholesky factor raises there.
+        spec = GaussianSignSpec(3, 0.25, 6, tail_tol=None)
+        mc = gaussian_sign_measure(spec, 0, 10_000, seed=11)
+        table = mc.joint.as_array
+        assert table[0, 1] == table[1, 0] == 0.0
+        assert mc.corr.value == 1.0
+
+    def test_monte_carlo_builds_no_sample_by_region_buffer(self):
+        spec = GaussianSignSpec(3, 0.25, 8, tail_tol=None)
+        gaussian_sign_measure(spec, 4, 20_000, seed=3)  # one-time allocations happen here
+        tracemalloc.start()
+        try:
+            gaussian_sign_measure(spec, 4, 20_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A 10,000-sample normal buffer over the 1,342-vertex region would be 107 MB.
+        assert peak < 8 * 2**20
 
     def test_deterministic(self):
         spec = GaussianSignSpec(3, 0.25, 6, tail_tol=None)
