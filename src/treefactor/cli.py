@@ -514,7 +514,7 @@ def build_parser() -> _Parser:
     p.add_argument("--D", type=int, help="gaussian-sign truncation radius")
     p.add_argument("--tail-tol", type=float)
     p.add_argument("--budget", type=_budget, default=DEFAULT_ENUM_BUDGET,
-                   help="label configurations exact enumeration may sum over")
+                   help="labelings of one radius-R ball that exact enumeration may run the rule on")
     p.add_argument("--dump-region", help="write the measurement region as JSON")
     p.set_defaults(func=cmd_measure, **_MEASURE_DEFAULTS)
 
@@ -522,7 +522,7 @@ def build_parser() -> _Parser:
                        help="run a measurement sweep from a key=value config file")
     p.add_argument("--config", required=True)
     p.add_argument("--budget", type=_budget, default=DEFAULT_ENUM_BUDGET,
-                   help="label configurations exact enumeration may sum over")
+                   help="labelings of one radius-R ball that exact enumeration may run the rule on")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sharpness",

@@ -4,9 +4,10 @@ machinery to measure the joint law of two vertices at distance k.
 Local rules are functions of *canonicalized* labeled rooted balls, which
 makes them invariant under root-preserving automorphisms by construction.
 A rule runs once per distinct labeling of its ball that a measurement
-meets.  Measurements come from exact enumeration of the product measure
-where that is affordable, and from seeded Monte Carlo otherwise; both go
-through the same evaluation of the rule.
+meets.  Measurements come from seeded Monte Carlo, or, where the |A|^|B_R|
+labelings of one ball are affordable, from exact enumeration conditioned
+on the labels of the vertices the two balls share; both go through the
+same evaluation of the rule.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .tree import (
     vertex_at_distance,
 )
 
-DEFAULT_ENUM_BUDGET = 2**24
+DEFAULT_ENUM_BUDGET = 2**18
 DEFAULT_REGION_VERTEX_BUDGET = 60_000
 MC_CHUNK = 10_000
 _PAIRING_ATTEMPTS = 5000  # stub pairings tried before random_regular_graph gives up
@@ -217,15 +218,6 @@ class ProcessMeasurement:
         return json.dumps(payload, sort_keys=True)
 
 
-def exchangeability_gap(pm: ProcessMeasurement) -> Optional[float]:
-    if pm.joint is None:
-        return None
-    m = pm.joint.as_array
-    if m.shape[0] != m.shape[1]:
-        return float("inf")
-    return float(abs(m - m.T).max())
-
-
 def measurement_from_joint(
     d: int,
     k: int,
@@ -281,21 +273,19 @@ def _two_balls(d: int, radius: int, k: int) -> tuple[BallRegion, list[int], list
     return region, ball_u, ball_v, shape
 
 
-def _joint_cells(
-    rule: BlockFactorRule, ball_u: Sequence[int], ball_v: Sequence[int], shape: tuple
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The function that maps rows of label indices on the region to the
-    flat (X_u, X_v) cell of each row.
+def _ball_outputs(rule: BlockFactorRule, shape: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """The function that maps rows of label indices on a ball, in the
+    breadth-first order of ``shape``, to the index of the rule's output.
 
-    The balls at u and v have the same shape, so one evaluation of the rule
-    serves both roots.  The rule runs once for each distinct ball labeling
-    that occurs, and its outputs are kept across calls: a measurement builds
-    at most min(rows, |A|^|B_R|) canonical codes, whatever the ball size.
-    Past ``_KNOWN_LABELINGS`` kept outputs the store starts afresh, so large
-    balls, whose labelings seldom repeat, cost no more memory than small.
+    Every ball has the same shape, so one evaluation of the rule serves the
+    balls at u and at v alike.  The rule runs once for each distinct ball
+    labeling that occurs, and its outputs are kept across calls: a
+    measurement builds at most min(rows, |A|^|B_R|) canonical codes, whatever
+    the ball size.  Past ``_KNOWN_LABELINGS`` kept outputs the store starts
+    afresh, so large balls, whose labelings seldom repeat, cost no more
+    memory than small.
     """
     n_values = len(rule.input_values)
-    m = len(rule.output_values)
     out_index = {val: i for i, val in enumerate(rule.output_values)}
     known: dict = {}  # labeling key -> index of the rule's output
 
@@ -313,24 +303,22 @@ def _joint_cells(
             labels = np.ascontiguousarray(labels)
             return labels.view(np.dtype((np.void, labels.strides[0]))).ravel()
 
-    def cells(rows: np.ndarray) -> np.ndarray:
+    def outputs(labels: np.ndarray) -> np.ndarray:
         if len(known) > _KNOWN_LABELINGS:
             known.clear()
-        labels = np.concatenate([rows[:, ball_u], rows[:, ball_v]])
         keys, inverse = np.unique(keys_of(labels), return_inverse=True)
         row_of = np.empty(len(keys), dtype=np.intp)
         row_of[inverse] = np.arange(len(labels))
-        outputs = np.empty(len(keys), dtype=np.int64)
+        found = np.empty(len(keys), dtype=np.int64)
         for j, key in enumerate(keys.tolist()):
             out = known.get(key)
             if out is None:
                 ball_labels = [rule.input_values[i] for i in labels[row_of[j]]]
                 out = known[key] = out_index[rule.fn(canonical_ball_code(ball_labels, 0, shape))]
-            outputs[j] = out
-        outputs = outputs[inverse]
-        return outputs[: len(rows)] * m + outputs[len(rows) :]
+            found[j] = out
+        return found[inverse]
 
-    return cells
+    return outputs
 
 
 def exact_joint(
@@ -339,32 +327,56 @@ def exact_joint(
     k: int,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> ProcessMeasurement:
-    """Exact joint law of (X_u, X_v) by summing the product measure over
-    all label configurations on the union of the two radius-R balls."""
+    """Exact joint law of (X_u, X_v), conditioned on the labels of the
+    shared vertices I = B_u ∩ B_v of the two radius-R balls.
+
+    Given the labels on I, X_u and X_v are independent, so the joint is
+    Σ_I p(I) · P_u(·|I) ⊗ P_v(·|I).  The |A|^|B_R| labelings of one ball are
+    enumerated once, in ``_ENUM_BLOCK`` blocks, and the rule runs once per
+    labeling.  Each labeling is binned twice, as the ball at u and as the
+    ball at v, by its labels on I and weighted by the product over that
+    ball's private vertices only.  ``budget`` bounds |A|^|B_R|.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    region, *balls = _two_balls(d, rule.radius, k)
-    n_vertices = len(region.vertices)
+    region, ball_u, ball_v, shape = _two_balls(d, rule.radius, k)
     n_values = len(rule.input_values)
-    total = n_values**n_vertices
+    total = n_values ** len(shape)
     if total > budget:
         raise BudgetExceededError(
             f"{total} label configurations exceed the budget of {budget}; "
             "use mc_joint for a sampled estimate"
         )
-    cells = _joint_cells(rule, *balls)
     m = len(rule.output_values)
     probs = np.asarray(rule.input_probs, dtype=float)
-    place = n_values ** np.arange(n_vertices - 1, -1, -1, dtype=np.int64)
-    joint = np.zeros(m * m, dtype=float)
+    slot = {x: i for i, x in enumerate(sorted(set(ball_u) & set(ball_v)))}
+    n_shared = n_values ** len(slot)
+    # Each ball's place values give a labeling's code on I, in slot order;
+    # its private positions have place 0.
+    i_places, privates = [], []
+    for ball in (ball_u, ball_v):
+        i_place = np.zeros(len(shape), dtype=np.int64)
+        for position, x in enumerate(ball):
+            if x in slot:
+                i_place[position] = n_values ** (len(slot) - 1 - slot[x])
+        i_places.append(i_place)
+        privates.append(np.flatnonzero(i_place == 0))
+    outputs = _ball_outputs(rule, shape)
+    place = n_values ** np.arange(len(shape) - 1, -1, -1, dtype=np.int64)
+    conditional = np.zeros((2, n_shared * m), dtype=float)  # rows: u, v
     for start in range(0, total, _ENUM_BLOCK):
         codes = np.arange(start, min(start + _ENUM_BLOCK, total), dtype=np.int64)
         digits = codes[:, None] // place % n_values  # in itertools.product order
-        weights = np.prod(probs[digits], axis=1)
-        joint += np.bincount(cells(digits), weights=weights, minlength=m * m)
-    joint = joint.reshape(m, m)
-    total_mass = joint.sum()
-    joint /= total_mass
+        out = outputs(digits)
+        for row, i_place, private in zip(conditional, i_places, privates):
+            weights = np.prod(probs[digits[:, private]], axis=1)
+            row += np.bincount(digits @ i_place * m + out, weights=weights, minlength=n_shared * m)
+    a_u, a_v = conditional.reshape(2, n_shared, m)
+    p_shared = np.ones(1)
+    for _ in slot:
+        p_shared = np.kron(p_shared, probs)
+    joint = a_u.T @ (p_shared[:, None] * a_v)
+    joint /= joint.sum()
     gap = float(abs(joint - joint.T).max())
     if gap > 1e-12:
         raise InvariantError(f"exact joint not exchangeable: transpose gap {gap}")
@@ -391,9 +403,9 @@ def mc_joint(
     the union region from a counter-based stream keyed by the seed."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    region, *balls = _two_balls(d, rule.radius, k)
+    region, ball_u, ball_v, shape = _two_balls(d, rule.radius, k)
     n_vertices = len(region.vertices)
-    cells = _joint_cells(rule, *balls)
+    outputs = _ball_outputs(rule, shape)
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = len(rule.output_values)
     counts = np.zeros(m * m, dtype=np.int64)
@@ -401,7 +413,8 @@ def mc_joint(
     while remaining > 0:
         chunk = min(MC_CHUNK, remaining)
         draws = rng.choice(len(rule.input_values), size=(chunk, n_vertices), p=rule.input_probs)
-        counts += np.bincount(cells(draws), minlength=m * m)
+        out = outputs(np.concatenate([draws[:, ball_u], draws[:, ball_v]]))
+        counts += np.bincount(out[:chunk] * m + out[chunk:], minlength=m * m)
         remaining -= chunk
     J = joint_from_counts(counts.reshape(m, m), seed)
     values = _numeric_values(rule.output_values)

@@ -540,6 +540,26 @@ class TestEnumerationBudget:
         assert code == EXIT_OK
         assert budgets == [DEFAULT_ENUM_BUDGET]
 
+    # The default budget covers the 2^18 labelings of a majority ball up to d=17.
+    @pytest.mark.parametrize("d, flags, expected", [
+        ("13", [], "method=exact-enumeration"),
+        ("18", ["--samples", "2000"], "method=monte-carlo"),
+        ("3", ["--budget", "0", "--samples", "2000"], "method=monte-carlo"),
+    ], ids=["d13-exact", "d18-falls-back", "zero-budget-falls-back"])
+    def test_auto_method_at_the_budget_boundary(self, capsys, d, flags, expected):
+        code, out, _ = run(capsys, "measure", "--process", "majority", "--d", d, "--k", "1",
+                           *flags)
+        assert code == EXIT_OK
+        assert expected in out
+
+    def test_exact_method_over_the_budget_fails(self, capsys):
+        code, out, err = run(capsys, "measure", "--process", "majority", "--d", "18", "--k", "1",
+                             "--method", "exact")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"{2**19} label configurations exceed the budget of {2**18}" in err
+        assert "use mc_joint" in err
+
     @pytest.mark.parametrize("method", ["exact", "auto"])
     def test_verifier_budget_env_var_does_not_reach_measure(self, capsys, monkeypatch, method):
         monkeypatch.setenv("TREEFACTOR_BUDGET", "5")

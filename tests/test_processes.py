@@ -19,7 +19,6 @@ from treefactor.processes import (
     check_sparse_coloring,
     check_sparse_set,
     exact_joint,
-    exchangeability_gap,
     gaussian_cov,
     gaussian_cov_tail_bound,
     gaussian_sign_closed_form,
@@ -53,6 +52,12 @@ MAJORITY_D3_MI = {
     2: 0.001954398557,
     3: 0.0,
 }
+
+
+def exchangeability_gap(pm):
+    """Largest entry of |J - Jᵀ| for the measured joint."""
+    m = pm.joint.as_array
+    return float(abs(m - m.T).max())
 
 
 def nested_loop_majority_joint(k):

@@ -212,9 +212,9 @@ class TestExact:
         rule = factory(d)
         assert_same_measurement(exact_joint(rule, d, k), ref_exact_joint(rule, d, k))
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_letters_rule_agrees(self, k):
-        # At k=3 the two balls are disjoint: 4^8 configurations, sixteen blocks.
+        # From k=3 the two balls are disjoint: the oracle sums 4^8 configurations.
         rule = letters_rule()
         new = exact_joint(rule, 3, k)
         ref = ref_exact_joint(rule, 3, k)
@@ -225,6 +225,37 @@ class TestExact:
     def test_depth_two_rule_bit_identical(self):
         rule = depth_two_rule()
         assert_same_measurement(exact_joint(rule, 3, 1), ref_exact_joint(rule, 3, 1))
+
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_depth_two_rule_bit_identical_at_every_overlap(self, k):
+        # The shared vertices run from the whole 10-vertex ball (k=0) to 2 (k=3).
+        rule = depth_two_rule()
+        assert_same_measurement(exact_joint(rule, 3, k), ref_exact_joint(rule, 3, k))
+
+    @pytest.mark.parametrize("factory", UNIFORM_RULES)
+    @pytest.mark.parametrize("d", [3, 4, 7])
+    @pytest.mark.parametrize("gap", [1, 2, 5])
+    def test_disjoint_balls_give_exactly_zero_information(self, factory, d, gap):
+        # Past k = 2R the balls share no vertex and the joint is an outer product.
+        rule = factory(d)
+        pm = exact_joint(rule, d, 2 * rule.radius + gap)
+        assert pm.mi.value == 0.0
+        assert pm.nmi.value == 0.0
+
+    def test_majority_past_the_whole_union_agrees_with_monte_carlo(self):
+        # d=13, k=1: 2^26 configurations on the union of the balls, 2^14 on one ball.
+        rule = majority_rule(13)
+        exact = exact_joint(rule, 13, 1)
+        mc = mc_joint(rule, 13, 1, 20_000, 13)
+        for name in ("mi", "corr", "entropy_v"):
+            est, ref = getattr(mc, name), getattr(exact, name)
+            assert abs(est.value - ref.value) <= 4 * est.stderr, name
+
+    def test_budget_counts_the_labelings_of_one_ball(self):
+        # Majority at d=3: 2^4 labelings of a ball, 2^6 configurations on the union at k=1.
+        assert exact_joint(majority_rule(3), 3, 1, budget=2**4).method == "exact-enumeration"
+        with pytest.raises(BudgetExceededError, match="16 label configurations exceed"):
+            exact_joint(majority_rule(3), 3, 1, budget=2**4 - 1)
 
 
 class TestLargeBalls:
@@ -279,6 +310,12 @@ class TestEvaluationCount:
         rule, calls = counting(parity_rule(3))
         exact_joint(rule, 3, 3)
         assert len(calls) == 2**4
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_exact_calls_a_radius_two_rule_once_per_labeling_of_the_ball(self, k):
+        rule, calls = counting(depth_two_rule())
+        exact_joint(rule, 3, k)
+        assert len(calls) == 2**10
 
     @pytest.mark.parametrize("d, radius, k", [(3, 1, 0), (3, 2, 1), (4, 2, 3), (5, 1, 6)])
     def test_balls_at_u_and_v_have_one_shape(self, d, radius, k):
