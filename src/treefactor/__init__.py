@@ -3,8 +3,6 @@ and information-decay bounds."""
 
 from .bounds import (
     BoundVerdict,
-    check_edge_vertex,
-    check_free_group_avg,
     correlation_bound,
     fixed_process_mi_bound,
     fixed_process_verdict,
@@ -21,20 +19,15 @@ from .errors import (
     UndefinedQuantityError,
 )
 from .information import (
-    Distribution,
     JointDistribution,
     MeasuredQuantity,
-    binary_symmetric_mi,
     conditional_entropy,
-    correlation_of_functions,
     empirical_joint,
-    entropy,
     joint_entropy,
     maximal_correlation,
     mutual_information,
     normalized_mi,
     symmetric_binary_joint,
-    tensor_power,
 )
 from .processes import (
     BlockFactorRule,

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .information import JointDistribution, MeasuredQuantity, normalized_mi
+from .information import MeasuredQuantity
 from .tree import listing_ratio
 
 SLACK_MULTIPLIER = 3.0
@@ -63,16 +62,6 @@ class BoundVerdict:
         cmp = f"measured {self.measured.value:.6g} <= {self.bound:.6g} + {self.slack:.3g}"
         return f"{self.name}: {cmp} {'PASS' if self.passed else 'FAIL'}"
 
-    def to_row(self) -> dict:
-        return {
-            "bound_name": self.name,
-            "bound": self.bound,
-            "measured": self.measured.value,
-            "stderr": self.measured.stderr,
-            "slack": self.slack,
-            "verdict": "PASS" if self.passed else "FAIL",
-        }
-
 
 def make_verdict(name: str, bound: float, measured: MeasuredQuantity) -> BoundVerdict:
     slack = SLACK_MULTIPLIER * measured.stderr
@@ -92,55 +81,6 @@ def fixed_process_verdict(d: int, k: int, m: int, mi: MeasuredQuantity) -> Bound
         f"fixed-process MI bound (d={d},k={k},m={m})",
         fixed_process_mi_bound(d, k, m),
         mi,
-    )
-
-
-def _marginal_mismatch(J: JointDistribution) -> float:
-    a = J.marginal_x().as_array
-    b = J.marginal_y().as_array
-    if a.shape != b.shape:
-        return float("inf")
-    return float(abs(a - b).max())
-
-
-def _marginal_tolerance(J: JointDistribution) -> float:
-    if J.provenance.kind == "empirical" and J.provenance.n_samples > 0:
-        return max(1e-9, 6.0 / J.provenance.n_samples**0.5)
-    return 1e-9
-
-
-def check_edge_vertex(J: JointDistribution, d: int) -> BoundVerdict:
-    """Edge bound I/H <= 2/d for the joint law of two adjacent vertices."""
-    mismatch = _marginal_mismatch(J)
-    if mismatch > _marginal_tolerance(J):
-        raise ValueError(
-            f"marginals differ by {mismatch:.3g}; not a symmetric edge law"
-        )
-    return make_verdict(
-        f"edge normalized-MI bound (d={d})",
-        2.0 / d,
-        normalized_mi(J),
-    )
-
-
-def check_free_group_avg(joints: Sequence[JointDistribution], r: int) -> BoundVerdict:
-    """Averaged normalized MI over the r generator directions <= 1/r."""
-    if r < 2:
-        raise ValueError(f"rank must be >= 2, got {r}")
-    if len(joints) != r:
-        raise ValueError(f"expected {r} joints, got {len(joints)}")
-    reference = joints[0].marginal_x().as_array
-    for J in joints:
-        for marg in (J.marginal_x().as_array, J.marginal_y().as_array):
-            if marg.shape != reference.shape or abs(marg - reference).max() > _marginal_tolerance(J):
-                raise ValueError("joints do not share a common marginal law")
-    values = [normalized_mi(J) for J in joints]
-    avg = sum(q.value for q in values) / r
-    stderr = (sum(q.stderr**2 for q in values)) ** 0.5 / r
-    return make_verdict(
-        f"free-group averaged normalized-MI bound (r={r})",
-        1.0 / r,
-        MeasuredQuantity(avg, stderr, values[0].method),
     )
 
 

@@ -7,18 +7,16 @@ standard error; exact joints carry stderr 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, UndefinedQuantityError
+from .errors import UndefinedQuantityError
 
 SUM_TOLERANCE = 1e-12
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
-DEFAULT_TENSOR_BUDGET = 2**24
 _BOOTSTRAP_SALT = 0xB005
 _RESAMPLE_BLOCK = 1 << 16  # cells per block of bootstrap resamples; bounds their memory
 
@@ -36,31 +34,6 @@ class Provenance:
 
 
 EXACT = Provenance("exact")
-
-
-def _as_prob_vector(values) -> np.ndarray:
-    p = np.asarray(values, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probabilities must form a nonempty vector")
-    if np.any(p < 0):
-        raise ValueError(f"negative probability entry: min={p.min()}")
-    if abs(p.sum() - 1.0) > SUM_TOLERANCE:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    return p
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A probability vector over a finite alphabet."""
-
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        _as_prob_vector(self.probabilities)
-
-    @property
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probabilities)
 
 
 @dataclass(frozen=True)
@@ -105,28 +78,6 @@ class JointDistribution:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.matrix), len(self.matrix[0]))
-
-    def marginal_x(self) -> Distribution:
-        return Distribution(tuple(self.as_array.sum(axis=1)))
-
-    def marginal_y(self) -> Distribution:
-        return Distribution(tuple(self.as_array.sum(axis=0)))
-
-    def transposed(self) -> "JointDistribution":
-        counts = None
-        if self.counts is not None:
-            counts = np.asarray(self.counts).T
-        return JointDistribution.from_array(self.as_array.T, self.provenance, counts)
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": 1,
-            "alphabetX": list(range(self.shape[0])),
-            "alphabetY": list(range(self.shape[1])),
-            "matrix": [list(row) for row in self.matrix],
-            "provenance": self.provenance.to_json_obj(),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -275,11 +226,6 @@ class Estimates:
         return MeasuredQuantity(value, float(np.std(values, ddof=1)), "plug-in")
 
 
-def entropy(p: Distribution) -> MeasuredQuantity:
-    """Shannon entropy sum(-p log p) in nats."""
-    return MeasuredQuantity(float(_entropy(p.as_array)), 0.0, "plug-in")
-
-
 def joint_entropy(J: JointDistribution) -> MeasuredQuantity:
     return Estimates(J).quantity("h_xy")
 
@@ -332,19 +278,6 @@ def joint_from_counts(counts: np.ndarray, seed: Optional[int]) -> JointDistribut
     return JointDistribution.from_array(counts / n, Provenance("empirical", n, seed), counts)
 
 
-def correlation_of_functions(J: JointDistribution, f: Sequence[float], g: Sequence[float]) -> float:
-    """Pearson correlation of f(X) and g(Y) under the joint law."""
-    m = J.as_array
-    fv = np.asarray(f, dtype=float)
-    gv = np.asarray(g, dtype=float)
-    if fv.shape != (m.shape[0],) or gv.shape != (m.shape[1],):
-        raise ValueError("value maps must match the joint's alphabet sizes")
-    value = float(_correlation(m, fv, gv))
-    if math.isnan(value):
-        raise UndefinedQuantityError("correlation undefined: a function has zero variance")
-    return value
-
-
 def _normalized_matrix(m: np.ndarray) -> np.ndarray:
     # Drop zero-probability states: correlations ignore null sets.
     px = m.sum(axis=1)
@@ -366,34 +299,9 @@ def maximal_correlation(J: JointDistribution) -> float:
     return float(np.clip(np.linalg.svd(q, compute_uv=False)[1], 0.0, 1.0))
 
 
-def tensor_power(J: JointDistribution, n: int, budget: int = DEFAULT_TENSOR_BUDGET) -> JointDistribution:
-    """Joint law of n independent copies; entropies scale by n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    m = J.as_array
-    size = (m.shape[0] ** n) * (m.shape[1] ** n)
-    if size > budget:
-        raise BudgetExceededError(f"tensor power has {size} entries, over budget {budget}")
-    out = m
-    for _ in range(n - 1):
-        out = np.kron(out, m)
-    return JointDistribution.from_array(out, EXACT)
-
-
-def binary_symmetric_mi(q: float) -> float:
-    """MI in nats of a +-1 symmetric pair with uniform marginals and
-    agreement probability q."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    hb = 0.0
-    for p in (q, 1.0 - q):
-        if p > 0:
-            hb -= p * math.log(p)
-    return math.log(2.0) - hb
-
-
 def symmetric_binary_joint(q: float) -> JointDistribution:
-    """Exact joint of the +-1 pair above, states ordered (+1, -1)."""
+    """Exact joint of a +-1 symmetric pair with uniform marginals and
+    agreement probability q, states ordered (+1, -1)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     return JointDistribution.from_array(

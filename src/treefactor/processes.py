@@ -105,11 +105,6 @@ def _code_label_sum(code) -> int:
     return label + sum(_code_label_sum(c) for c in kids)
 
 
-def _code_size(code) -> int:
-    label, kids = code
-    return 1 + sum(_code_size(c) for c in kids)
-
-
 def identity_rule(d: int) -> BlockFactorRule:
     """Output the root's own label; distinct vertices stay independent."""
     return BlockFactorRule(
@@ -124,10 +119,10 @@ def identity_rule(d: int) -> BlockFactorRule:
 
 def majority_rule(d: int) -> BlockFactorRule:
     """Majority of the d+1 binary labels in the radius-1 ball, ties -> root."""
+    total = d + 1
 
     def fn(code):
         ones = _code_label_sum(code)
-        total = _code_size(code)
         if 2 * ones > total:
             return 1
         if 2 * ones < total:
@@ -1002,6 +997,12 @@ def _sign_pair_weights(
     """The union of the truncation balls at u and v = k steps from u, and
     the weights of Y_u = w_u . Z and Y_v = w_v . Z on its vertices."""
     D = spec.truncation_radius
+    cap = _largest_region_radius(spec.d)
+    if D > cap:
+        raise BudgetExceededError(
+            f"Monte Carlo at d={spec.d} needs a truncation radius of at most {cap}, whose two "
+            f"balls fit the region budget of {DEFAULT_REGION_VERTEX_BUDGET} vertices; got {D}"
+        )
     region, ball_u, ball_v, _ = _two_balls(spec.d, D, k)
     # A ball lists its positions level by level: depth j fills sphere_size(d, j) of them.
     depth = np.repeat(np.arange(D + 1), [sphere_size(spec.d, j) for j in range(D + 1)])

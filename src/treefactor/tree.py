@@ -99,10 +99,11 @@ def region_from_balls(
         raise ValueError("need at least one center")
     sig = centers[0][0].sig
     d = sig.degree
-    total_cap = sum(ball_size(d, radius) for _, radius in centers)
-    if total_cap > budget:
+    # The uncapped size can run to thousands of digits, so the message names the budget.
+    if sum(ball_size(d, radius) for _, radius in centers) > budget:
+        radii = ", ".join(str(radius) for _, radius in centers)
         raise BudgetExceededError(
-            f"region could reach {total_cap} vertices, over the budget of {budget}"
+            f"balls of radius {radii} at d={d} could exceed the region budget of {budget} vertices"
         )
     balls = []
     for center, radius in centers:

@@ -11,7 +11,6 @@ word length is the graph distance from the identity.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -237,17 +236,6 @@ class GeneratingSet:
     def symmetrized(self) -> tuple[Word, ...]:
         """The elements followed by their inverses (2 * rank words)."""
         return self.elements + tuple(inverse(w) for w in self.elements)
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": 1,
-            "d": self.sig.degree,
-            "k": self.k,
-            "rank": self.claimed_rank,
-            "construction": self.construction,
-            "elements": [word_to_str(w) for w in self.elements],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def expected_rank(d: int, k: int) -> int:
@@ -644,11 +632,15 @@ def _decode_letters(
     r: int,
     remainders: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-    # The core of decode_factorizations on letter tuples; ``remainders``
-    # pairs each word t of length <= l with its inverse.  Stripping s from
-    # p cancels the l+1 letters they share, so p shrinks.  Hence no factor
-    # is decoded next to its inverse: if p s^-1 ended in the last l+1
-    # letters of s^-1, then p = (p s^-1) s would be shorter than p s^-1.
+    # All factorizations g = s_1..s_n t of the letters g found by greedy
+    # suffix stripping.  Only the remainder t is searched: ``remainders``
+    # pairs each word t of length <= l with its inverse.  Each factor is
+    # then forced, since a palindrome is determined by its last l+1
+    # letters, so where ``certify_free_claim`` passes on the palindromes
+    # this finds every factorization.  Stripping s from p cancels the l+1
+    # letters they share, so p shrinks.  Hence no factor is decoded next to
+    # its inverse: if p s^-1 ended in the last l+1 letters of s^-1, then
+    # p = (p s^-1) s would be shorter than p s^-1.
     results = []
     for t, t_inv in remainders:
         p = _multiply_raw(g, t_inv, r)
@@ -665,27 +657,6 @@ def _decode_letters(
         else:
             results.append((tuple(reversed(factors)), t))
     return results
-
-
-def decode_factorizations(
-    g: Word, palindromes: Sequence[Word], l: int
-) -> list[tuple[tuple[Word, ...], Word]]:
-    """All factorizations g = s_1..s_n t found by greedy suffix stripping.
-
-    Only the short remainder t is searched; each factor s_i is then
-    forced, because the last l+1 letters of the running product are the
-    last l+1 letters of its final factor and a palindrome is determined
-    by that suffix.  Where ``certify_free_claim`` passes on the
-    palindromes, this finds every factorization.
-    """
-    sig = g.sig
-    remainders = [(t, _inverse_raw(t, sig.r)) for t in _ball_words(sig, l)]
-    found = _decode_letters(
-        g.letters, frozenset(w.letters for w in palindromes), l, sig.r, remainders
-    )
-    return [
-        (tuple(Word(s, sig) for s in factors), Word(t, sig)) for factors, t in found
-    ]
 
 
 def verify_coset_factorization(

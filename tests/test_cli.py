@@ -669,6 +669,20 @@ class TestGaussian:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "--d", "3", "--eps", "0.25", "--kmax", "2", "--samples", "100", "--seed", "1"],
+        ["measure", "--process", "gaussian-sign", "--d", "3", "--k", "2", "--D", "20000",
+         "--samples", "100", "--seed", "1"],
+    ], ids=["gaussian-default-D", "measure"])
+    def test_monte_carlo_past_the_region_budget(self, capsys, argv):
+        # The message used to carry the uncapped region size, which at the
+        # default D = 100000 has too many digits for Python to print.
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "at most 13" in err and "region budget of 60000 vertices" in err
+
     def test_nan_truncation_tolerance_rejected(self, capsys):
         code, out, err = run(
             capsys, "measure", "--process", "gaussian-sign", "--d", "3", "--k", "1",

@@ -1,26 +1,23 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treefactor.errors import BudgetExceededError, UndefinedQuantityError
+from treefactor.errors import UndefinedQuantityError
 from treefactor.information import (
-    Distribution,
+    Estimates,
     JointDistribution,
     MeasuredQuantity,
-    binary_symmetric_mi,
     conditional_entropy,
-    correlation_of_functions,
     empirical_joint,
-    entropy,
     joint_entropy,
     maximal_correlation,
     mutual_information,
     normalized_mi,
     symmetric_binary_joint,
-    tensor_power,
 )
 
 LOG2 = math.log(2.0)
@@ -44,13 +41,21 @@ def exchangeable_joint(rng, m=None):
     return JointDistribution.from_array(matrix / matrix.sum())
 
 
-class TestValidation:
-    def test_distribution_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            Distribution((0.5, 0.6))
-        with pytest.raises(ValueError):
-            Distribution((1.5, -0.5))
+def entropy(p) -> float:
+    """H(X) of a law p, read from the joint of X with a constant."""
+    return Estimates(JointDistribution.from_array(np.asarray(p)[:, None])).quantity("h_x").value
 
+
+def corr(J: JointDistribution, f, g) -> float:
+    return Estimates(J, f, g).quantity("corr").value
+
+
+def copies(J: JointDistribution, n: int) -> JointDistribution:
+    """The joint law of n independent copies of (X, Y)."""
+    return JointDistribution.from_array(reduce(np.kron, [J.as_array] * n))
+
+
+class TestValidation:
     def test_joint_validation(self):
         with pytest.raises(ValueError):
             JointDistribution.from_array([[0.7, 0.7]])
@@ -64,13 +69,13 @@ class TestValidation:
 
 class TestEntropy:
     def test_uniform_binary(self):
-        assert entropy(Distribution((0.5, 0.5))).value == pytest.approx(LOG2, abs=1e-12)
+        assert entropy((0.5, 0.5)) == pytest.approx(LOG2, abs=1e-12)
 
     def test_point_mass(self):
-        assert entropy(Distribution((1.0, 0.0))).value == 0.0
+        assert entropy((1.0, 0.0)) == 0.0
 
     def test_biased_binary(self):
-        assert entropy(Distribution((0.75, 0.25))).value == pytest.approx(
+        assert entropy((0.75, 0.25)) == pytest.approx(
             H_3QUARTERS, abs=1e-12
         )
 
@@ -79,7 +84,7 @@ class TestEntropy:
         for _ in range(50):
             p = rng.random(4)
             p /= p.sum()
-            h = entropy(Distribution(tuple(p))).value
+            h = entropy(p)
             assert -1e-12 <= h <= math.log(4) + 1e-12
 
 
@@ -128,10 +133,10 @@ class TestJointQuantities:
         for _ in range(200):
             J = random_joint(rng)
             i_xy = mutual_information(J).value
-            i_yx = mutual_information(J.transposed()).value
+            i_yx = mutual_information(JointDistribution.from_array(J.as_array.T)).value
             assert i_xy == pytest.approx(i_yx, abs=1e-12)
-            hx = entropy(J.marginal_x()).value
-            hy = entropy(J.marginal_y()).value
+            hx = entropy(J.as_array.sum(axis=1))
+            hy = entropy(J.as_array.sum(axis=0))
             assert i_xy >= -1e-10
             assert i_xy <= min(hx, hy) + 1e-10
             # chain identity
@@ -214,7 +219,7 @@ class TestMaximalCorrelation:
             # on binary alphabets every non-constant function is affine in
             # the identity, so the functional search collapses to one value
             if 0 < q < 1:
-                c = correlation_of_functions(J, (1.0, -1.0), (1.0, -1.0))
+                c = corr(J, (1.0, -1.0), (1.0, -1.0))
                 assert maximal_correlation(J) == pytest.approx(abs(c), abs=1e-8)
 
     def test_against_svd_oracle(self):
@@ -245,34 +250,30 @@ class TestMaximalCorrelation:
 class TestCorrelationOfFunctions:
     def test_identity_on_diagonal(self):
         J = JointDistribution.from_array([[0.5, 0.0], [0.0, 0.5]])
-        assert correlation_of_functions(J, (0.0, 1.0), (0.0, 1.0)) == pytest.approx(1.0)
+        assert corr(J, (0.0, 1.0), (0.0, 1.0)) == pytest.approx(1.0)
 
     def test_sign_flip(self):
         J = JointDistribution.from_array([[0.5, 0.0], [0.0, 0.5]])
-        assert correlation_of_functions(J, (1.0, -1.0), (-1.0, 1.0)) == pytest.approx(-1.0)
+        assert corr(J, (1.0, -1.0), (-1.0, 1.0)) == pytest.approx(-1.0)
 
     def test_product_gives_zero(self):
         J = JointDistribution.from_array(np.outer([0.4, 0.6], [0.5, 0.5]))
-        assert correlation_of_functions(J, (0.0, 1.0), (0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+        assert corr(J, (0.0, 1.0), (0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_function_undefined(self):
         J = symmetric_binary_joint(0.75)
         with pytest.raises(UndefinedQuantityError):
-            correlation_of_functions(J, (1.0, 1.0), (0.0, 1.0))
+            corr(J, (1.0, 1.0), (0.0, 1.0))
 
 
 class TestTensorPower:
-    def test_n1_is_same_law(self):
-        J = symmetric_binary_joint(0.7)
-        assert np.allclose(tensor_power(J, 1).as_array, J.as_array)
-
     def test_product_stays_product(self):
         J = JointDistribution.from_array(np.outer([0.4, 0.6], [0.5, 0.5]))
-        assert mutual_information(tensor_power(J, 3)).value == pytest.approx(0.0, abs=1e-10)
+        assert mutual_information(copies(J, 3)).value == pytest.approx(0.0, abs=1e-10)
 
     def test_quantities_scale_linearly(self):
         J = symmetric_binary_joint(0.75)
-        J2 = tensor_power(J, 2)
+        J2 = copies(J, 2)
         assert mutual_information(J2).value == pytest.approx(2 * MI_3QUARTERS, abs=1e-10)
         assert joint_entropy(J2).value == pytest.approx(
             2 * joint_entropy(J).value, abs=1e-10
@@ -285,39 +286,7 @@ class TestTensorPower:
         rng = np.random.default_rng(9)
         for _ in range(20):
             J = random_joint(rng, 2, 2)
-            assert maximal_correlation(tensor_power(J, 2)) >= maximal_correlation(J) - 1e-8
-
-    def test_budget(self):
-        J = symmetric_binary_joint(0.75)
-        with pytest.raises(BudgetExceededError):
-            tensor_power(J, 20)
-
-
-class TestBinarySymmetricMi:
-    def test_endpoints(self):
-        assert binary_symmetric_mi(0.5) == pytest.approx(0.0, abs=1e-15)
-        assert binary_symmetric_mi(1.0) == pytest.approx(LOG2, abs=1e-15)
-        assert binary_symmetric_mi(0.0) == pytest.approx(LOG2, abs=1e-15)
-
-    def test_three_quarters(self):
-        assert binary_symmetric_mi(0.75) == pytest.approx(MI_3QUARTERS, abs=1e-12)
-
-    def test_matches_joint_route(self):
-        for q in np.linspace(0, 1, 21):
-            assert binary_symmetric_mi(float(q)) == pytest.approx(
-                mutual_information(symmetric_binary_joint(float(q))).value, abs=1e-12
-            )
-
-    def test_quadratic_sandwich_near_half(self):
-        # gamma1 (q-1/2)^2 <= MI <= gamma2 (q-1/2)^2 close to q = 1/2,
-        # with the exact curvature constant 2 (in nats)
-        for delta in (1e-2, 1e-3, 1e-4):
-            mi = binary_symmetric_mi(0.5 + delta)
-            assert 1.9 * delta**2 <= mi <= 2.1 * delta**2
-
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            binary_symmetric_mi(1.2)
+            assert maximal_correlation(copies(J, 2)) >= maximal_correlation(J) - 1e-8
 
 
 @given(st.integers(0, 10**6))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from treefactor.errors import BudgetExceededError, TruncationError
-from treefactor.information import Estimates, binary_symmetric_mi, symmetric_binary_joint
+from treefactor.information import Estimates, symmetric_binary_joint
 from treefactor.processes import (
     DEFAULT_REGION_VERTEX_BUDGET,
     GaussianSignSpec,
@@ -52,6 +52,19 @@ MAJORITY_D3_MI = {
     2: 0.001954398557,
     3: 0.0,
 }
+
+
+def binary_symmetric_mi(q: float) -> float:
+    """MI in nats of a +-1 symmetric pair with uniform marginals and
+    agreement probability q: the Gaussian closed form's MI, computed
+    without the statistics kernel."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    hb = 0.0
+    for p in (q, 1.0 - q):
+        if p > 0:
+            hb -= p * math.log(p)
+    return math.log(2.0) - hb
 
 
 def exchangeability_gap(pm):
@@ -398,6 +411,8 @@ class TestGaussianCov:
         _two_balls(3, 13, 1)
         with pytest.raises(BudgetExceededError):
             _two_balls(3, 14, 1)
+        with pytest.raises(BudgetExceededError, match="radius of at most 13, .* got 14$"):
+            gaussian_sign_measure(GaussianSignSpec(3, 0.25, 14, tail_tol=None), 1, 100, seed=1)
         spec = GaussianSignSpec(3, 0.25, 8, tail_tol=1e-30)
         with pytest.raises(TruncationError) as exc:
             gaussian_cov(spec, 1)
@@ -521,6 +536,36 @@ class TestGaussianClosedFormTables:
         for _ in range(2):
             with pytest.raises(TruncationError):
                 gaussian_cov(spec, 0)
+
+
+class TestBinarySymmetricMi:
+    # frozen: log(2) + 0.75*log(0.75) + 0.25*log(0.25)
+    MI_3QUARTERS = 0.1308120359411370
+
+    def test_endpoints(self):
+        assert binary_symmetric_mi(0.5) == pytest.approx(0.0, abs=1e-15)
+        assert binary_symmetric_mi(1.0) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert binary_symmetric_mi(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
+
+    def test_three_quarters(self):
+        assert binary_symmetric_mi(0.75) == pytest.approx(self.MI_3QUARTERS, abs=1e-12)
+
+    def test_matches_joint_route(self):
+        for q in np.linspace(0, 1, 21):
+            assert binary_symmetric_mi(float(q)) == pytest.approx(
+                Estimates(symmetric_binary_joint(float(q))).quantity("mi").value, abs=1e-12
+            )
+
+    def test_quadratic_sandwich_near_half(self):
+        # gamma1 (q-1/2)^2 <= MI <= gamma2 (q-1/2)^2 close to q = 1/2,
+        # with the exact curvature constant 2 (in nats)
+        for delta in (1e-2, 1e-3, 1e-4):
+            mi = binary_symmetric_mi(0.5 + delta)
+            assert 1.9 * delta**2 <= mi <= 2.1 * delta**2
+
+    def test_range_checked(self):
+        with pytest.raises(ValueError):
+            binary_symmetric_mi(1.2)
 
 
 class TestGaussianSignMeasure:

@@ -140,6 +140,12 @@ class TestBalls:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             ball(origin(3), 25, budget=1000)
+        # The message names the budget, not |B_5000|, which has about 1,500 digits.
+        with pytest.raises(BudgetExceededError) as info:
+            ball(origin(3), 5000)
+        assert str(info.value) == (
+            "balls of radius 5000 at d=3 could exceed the region budget of 1000000 vertices"
+        )
 
     def test_json_dump(self):
         payload = json.loads(ball(origin(3), 1).to_json())

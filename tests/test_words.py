@@ -1,4 +1,3 @@
-import json
 import random
 import tracemalloc
 from itertools import product
@@ -17,11 +16,12 @@ from treefactor.words import (
     Word,
     _admissible,
     _ball_words,
+    _decode_letters,
+    _inverse_raw,
     _level_chunks,
     _multiply_raw,
     build_generators,
     certify_free_claim,
-    decode_factorizations,
     expected_rank,
     inverse,
     is_palindrome,
@@ -200,14 +200,6 @@ class TestSerialization:
             word_from_str("a1x", F2)
         with pytest.raises(ValueError):
             word_from_str("A3", MIXED)  # order-2 generator has no inverse form
-
-    def test_generating_set_json(self):
-        gs = build_generators(3, 2)
-        payload = json.loads(gs.to_json())
-        assert payload["schema"] == 1
-        assert payload["d"] == 3
-        assert payload["rank"] == 2
-        assert payload["elements"] == ["a2a1", "a3a1"]
 
 
 class TestBuildGenerators:
@@ -635,6 +627,14 @@ def forward_factorizations(d: int, k: int, max_length: int) -> dict:
     return found
 
 
+def decode(g: tuple[int, ...], gs: GeneratingSet) -> list:
+    """``_decode_letters`` over the symmetrized set and every short remainder."""
+    sig, l = gs.sig, gs.half_length
+    remainders = [(t, _inverse_raw(t, sig.r)) for t in _ball_words(sig, l)]
+    palindromes = frozenset(w.letters for w in gs.symmetrized())
+    return _decode_letters(g, palindromes, l, sig.r, remainders)
+
+
 class TestCosetFactorization:
     def test_short_elements_factor_as_themselves(self):
         report = verify_coset_factorization(4, 3, 1)
@@ -644,8 +644,7 @@ class TestCosetFactorization:
     def test_palindromes_factor_with_empty_remainder(self):
         gs = build_generators(4, 3)
         for w in gs.symmetrized():
-            found = decode_factorizations(w, list(gs.symmetrized()), 1)
-            assert found == [((w,), Word.identity(F2))]
+            assert decode(w.letters, gs) == [((w.letters,), ())]
 
     def test_depth_three(self):
         report = verify_coset_factorization(4, 3, 3)
@@ -661,11 +660,8 @@ class TestCosetFactorization:
     def test_decoding_matches_forward_enumeration(self, d, k, max_length):
         oracle = forward_factorizations(d, k, max_length)
         gs = build_generators(d, k)
-        palindromes = list(gs.symmetrized())
         for g, factorizations in oracle.items():
-            decoded = decode_factorizations(Word(g, gs.sig), palindromes, k // 2)
-            letters = [(tuple(s.letters for s in seq), t.letters) for seq, t in decoded]
-            assert sorted(letters) == sorted(factorizations), g
+            assert sorted(decode(g, gs)) == sorted(factorizations), g
         for length in range(max_length + 1):
             expected = all(len(oracle[g]) == 1 for g in oracle if len(g) <= length)
             report = verify_coset_factorization(d, k, length)
