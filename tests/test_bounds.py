@@ -16,6 +16,7 @@ from treefactor.bounds import (
 from treefactor.information import (
     JointDistribution,
     MeasuredQuantity,
+    joint_from_counts,
     normalized_mi,
     symmetric_binary_joint,
 )
@@ -97,6 +98,25 @@ class TestEdgeBound:
         verdict = universal_verdict(3, 1, normalized_mi(DIAGONAL))
         assert not verdict.passed
         assert verdict.bound == pytest.approx(2 / 3)
+
+    def test_empirical_marginal_tolerance(self):
+        # sampled marginals differ a little; the bootstrap slack absorbs it
+        counts = np.array([[2505, 2495], [2490, 2510]])
+        J = joint_from_counts(counts, seed=0)
+        assert not np.allclose(J.as_array.sum(axis=0), J.as_array.sum(axis=1))
+        verdict = universal_verdict(3, 1, normalized_mi(J))
+        assert verdict.passed
+        assert verdict.slack > 0.0
+
+    def test_unequal_marginals_verdict_follows_the_chosen_marginal(self):
+        # Y uniform on 4 states, X = Y mod 2: I = H(X) = log 2, H(Y) = log 4
+        J = JointDistribution.from_array([[0.25, 0.0, 0.25, 0.0], [0.0, 0.25, 0.0, 0.25]])
+        by_y = universal_verdict(3, 1, normalized_mi(J, "y"))
+        by_x = universal_verdict(3, 1, normalized_mi(J, "x"))
+        assert by_y.measured.value == pytest.approx(0.5, abs=1e-12)
+        assert by_y.passed
+        assert by_x.measured.value == pytest.approx(1.0, abs=1e-12)
+        assert not by_x.passed
 
     def test_invariant_under_independent_copies(self):
         J = symmetric_binary_joint(0.75)

@@ -62,6 +62,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             JointDistribution.from_array([[1.2, -0.2]])
 
+    def test_distribution_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="sums to"):
+            JointDistribution.from_array([[0.5], [0.6]])
+        with pytest.raises(ValueError, match="negative"):
+            JointDistribution.from_array([[1.5], [-0.5]])
+        assert JointDistribution.from_array([[0.25], [0.75]]).shape == (2, 1)
+
     def test_measured_quantity_formatting(self):
         q = MeasuredQuantity(0.130812, 0.0021)
         assert "0.130812" in str(q) and "nats" in str(q)
@@ -127,6 +134,25 @@ class TestJointQuantities:
         J = JointDistribution.from_array([[0.5], [0.5]])
         with pytest.raises(UndefinedQuantityError):
             normalized_mi(J)
+
+    def test_zero_entropy_x_marginal_signals_undefined(self):
+        J = JointDistribution.from_array([[0.5, 0.5]])
+        with pytest.raises(UndefinedQuantityError):
+            normalized_mi(J, "x")
+        assert normalized_mi(J, "y").value == pytest.approx(0.0, abs=1e-12)
+
+    def test_conditioning_on_x_on_random_joints(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            J = random_joint(rng)
+            hx = entropy(J.as_array.sum(axis=1))
+            hy = entropy(J.as_array.sum(axis=0))
+            i_xy = mutual_information(J).value
+            assert joint_entropy(J).value == pytest.approx(
+                hx + conditional_entropy(J, given="x").value, abs=1e-10
+            )
+            assert normalized_mi(J, "x").value == pytest.approx(i_xy / hx, abs=1e-10)
+            assert normalized_mi(J, "y").value == pytest.approx(i_xy / hy, abs=1e-10)
 
     def test_information_identities_on_random_joints(self):
         rng = np.random.default_rng(42)
@@ -267,6 +293,16 @@ class TestCorrelationOfFunctions:
 
 
 class TestTensorPower:
+    def test_n1_is_same_law(self):
+        J = symmetric_binary_joint(0.7)
+        assert np.allclose(copies(J, 1).as_array, J.as_array)
+        # a Y coordinate that is always 0 adds zero columns and no information
+        padded = JointDistribution.from_array(np.kron(J.as_array, [[1.0, 0.0]]))
+        for name in ("h_x", "h_y", "h_xy", "mi", "nmi_x", "nmi_y"):
+            assert Estimates(padded).quantity(name).value == pytest.approx(
+                Estimates(J).quantity(name).value, abs=1e-12
+            )
+
     def test_product_stays_product(self):
         J = JointDistribution.from_array(np.outer([0.4, 0.6], [0.5, 0.5]))
         assert mutual_information(copies(J, 3)).value == pytest.approx(0.0, abs=1e-10)
