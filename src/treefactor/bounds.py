@@ -99,7 +99,7 @@ def sharpness_report(d: int, k_max: int, r_max: int) -> list[SharpnessRow]:
 
     The ratio |B_R(u) & B_R(v)| / |B_R| approaches the bound from below
     as R grows; each row records the gap at R = r_max and whether the gap
-    was non-increasing over R = k..r_max.
+    was non-increasing over R = 1..r_max.
     """
     if k_max < 1 or r_max < 1:
         raise ValueError("k_max and r_max must be >= 1")

@@ -7,7 +7,11 @@ A rule runs once per distinct labeling of its ball that a measurement
 meets.  Measurements come from seeded Monte Carlo, or, where the |A|^|B_R|
 labelings of one ball are affordable, from exact enumeration conditioned
 on the labels of the vertices the two balls share; both go through the
-same evaluation of the rule.
+same evaluation of the rule, keyed by each ball labeling's mixed-radix
+code.  Monte Carlo labels are the uniforms ``Generator.choice`` would draw,
+thresholded at the cumulative input law, and one integer product gives the
+codes of both balls; only balls whose codes do not fit in int64 key their
+labelings by raw label bytes.
 """
 
 from __future__ import annotations
@@ -268,49 +272,57 @@ def _two_balls(d: int, radius: int, k: int) -> tuple[BallRegion, list[int], list
     return region, ball_u, ball_v, shape
 
 
-def _ball_outputs(rule: BlockFactorRule, shape: tuple) -> Callable[[np.ndarray], np.ndarray]:
-    """The function that maps rows of label indices on a ball, in the
-    breadth-first order of ``shape``, to the index of the rule's output.
+def _place_values(n_values: int, size: int) -> Optional[np.ndarray]:
+    """The int64 place value of each ball position in a labeling's
+    mixed-radix code Σ label·|A|^(size-1-position), or None when the codes
+    of ``size`` positions do not fit in int64."""
+    if n_values**size > np.iinfo(np.int64).max:
+        return None
+    return n_values ** np.arange(size - 1, -1, -1, dtype=np.int64)
 
-    Every ball has the same shape, so one evaluation of the rule serves the
-    balls at u and at v alike.  The rule runs once for each distinct ball
-    labeling that occurs, and its outputs are kept across calls: a
-    measurement builds at most min(rows, |A|^|B_R|) canonical codes, whatever
-    the ball size.  Past ``_KNOWN_LABELINGS`` kept outputs the store starts
-    afresh, so large balls, whose labelings seldom repeat, cost no more
-    memory than small.
+
+def _row_keys(labels: np.ndarray) -> np.ndarray:
+    """Each row of int64 label indices as one raw-bytes key."""
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    return labels.view(np.dtype((np.void, labels.strides[0]))).ravel()
+
+
+def _ball_outputs(rule: BlockFactorRule, shape: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """The function that maps keys of ball labelings, in the breadth-first
+    order of ``shape``, to the index of the rule's output.
+
+    A labeling's key is its mixed-radix code (``_place_values``).  Only a
+    ball whose codes do not fit in int64 keys a labeling by its row of label
+    indices as raw bytes (``_row_keys``).  Every ball has the same shape, so
+    one evaluation of the rule serves the balls at u and at v alike.  The
+    keys are made unique per call, and only those not seen before are
+    decoded into labels, in one array operation, and run through the rule;
+    its outputs are kept across calls, so a measurement builds at most
+    min(keys, |A|^|B_R|) canonical codes, whatever the ball size.  Past
+    ``_KNOWN_LABELINGS`` kept outputs the store starts afresh, so large
+    balls, whose labelings seldom repeat, cost no more memory than small.
     """
     n_values = len(rule.input_values)
     out_index = {val: i for i, val in enumerate(rule.output_values)}
     known: dict = {}  # labeling key -> index of the rule's output
+    place = _place_values(n_values, len(shape))
 
-    # A labeling's key is its mixed-radix code where that fits in int64,
-    # and otherwise its row of label indices as raw bytes.
-    if n_values ** len(shape) <= np.iinfo(np.int64).max:
-        place = n_values ** np.arange(len(shape) - 1, -1, -1, dtype=np.int64)
+    def labels_of(keys: np.ndarray) -> np.ndarray:
+        if place is None:
+            return keys.view(np.int64).reshape(len(keys), len(shape))
+        return keys[:, None] // place % n_values
 
-        def keys_of(labels: np.ndarray) -> np.ndarray:
-            return labels @ place
-
-    else:
-
-        def keys_of(labels: np.ndarray) -> np.ndarray:
-            labels = np.ascontiguousarray(labels)
-            return labels.view(np.dtype((np.void, labels.strides[0]))).ravel()
-
-    def outputs(labels: np.ndarray) -> np.ndarray:
+    def outputs(keys: np.ndarray) -> np.ndarray:
         if len(known) > _KNOWN_LABELINGS:
             known.clear()
-        keys, inverse = np.unique(keys_of(labels), return_inverse=True)
-        row_of = np.empty(len(keys), dtype=np.intp)
-        row_of[inverse] = np.arange(len(labels))
-        found = np.empty(len(keys), dtype=np.int64)
-        for j, key in enumerate(keys.tolist()):
-            out = known.get(key)
-            if out is None:
-                ball_labels = [rule.input_values[i] for i in labels[row_of[j]]]
-                out = known[key] = out_index[rule.fn(canonical_ball_code(ball_labels, 0, shape))]
-            found[j] = out
+        unique, inverse = np.unique(keys, return_inverse=True)
+        unique_keys = unique.tolist()
+        found = np.fromiter((known.get(key, -1) for key in unique_keys), np.int64, len(unique_keys))
+        new = np.flatnonzero(found < 0)
+        for j, row in zip(new.tolist(), labels_of(unique[new]).tolist()):
+            ball_labels = [rule.input_values[i] for i in row]
+            out = out_index[rule.fn(canonical_ball_code(ball_labels, 0, shape))]
+            found[j] = known[unique_keys[j]] = out
         return found[inverse]
 
     return outputs
@@ -357,12 +369,12 @@ def exact_joint(
         i_places.append(i_place)
         privates.append(np.flatnonzero(i_place == 0))
     outputs = _ball_outputs(rule, shape)
-    place = n_values ** np.arange(len(shape) - 1, -1, -1, dtype=np.int64)
+    place = _place_values(n_values, len(shape))
     conditional = np.zeros((2, n_shared * m), dtype=float)  # rows: u, v
     for start in range(0, total, _ENUM_BLOCK):
         codes = np.arange(start, min(start + _ENUM_BLOCK, total), dtype=np.int64)
         digits = codes[:, None] // place % n_values  # in itertools.product order
-        out = outputs(digits)
+        out = outputs(codes)
         for row, i_place, private in zip(conditional, i_places, privates):
             weights = np.prod(probs[digits[:, private]], axis=1)
             row += np.bincount(digits @ i_place * m + out, weights=weights, minlength=n_shared * m)
@@ -395,21 +407,49 @@ def mc_joint(
     seed: int,
 ) -> ProcessMeasurement:
     """Sampled joint law of (X_u, X_v): each replica draws fresh labels on
-    the union region from a counter-based stream keyed by the seed."""
+    the union region from a counter-based stream keyed by the seed.
+
+    The labels are the ones ``Generator.choice`` would draw from the rule's
+    input law: one uniform per region vertex, thresholded at the cumulative
+    law normalised as ``choice`` normalises it.  One int64 product of the
+    labels with ``placement`` gives both balls' mixed-radix codes; only
+    balls whose codes do not fit in int64 gather their label rows instead.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     region, ball_u, ball_v, shape = _two_balls(d, rule.radius, k)
     n_vertices = len(region.vertices)
     outputs = _ball_outputs(rule, shape)
+    cdf = np.asarray(rule.input_probs, dtype=float).cumsum()
+    cdf /= cdf[-1]  # as Generator.choice does: the law may not sum to exactly 1
+    place = _place_values(len(rule.input_values), len(shape))
+    if place is None:
+
+        def keys_of(labels: np.ndarray) -> np.ndarray:
+            return np.stack([_row_keys(labels[:, ball_u]), _row_keys(labels[:, ball_v])], axis=1)
+
+    else:
+        # Column 0 holds each position's place value at its vertex in the
+        # ball at u, column 1 the same in the ball at v.
+        placement = np.zeros((n_vertices, 2), dtype=np.int64)
+        placement[ball_u, 0] = place
+        placement[ball_v, 1] = place
+
+        def keys_of(labels: np.ndarray) -> np.ndarray:
+            return labels @ placement
+
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = len(rule.output_values)
     counts = np.zeros(m * m, dtype=np.int64)
     remaining = samples
     while remaining > 0:
         chunk = min(MC_CHUNK, remaining)
-        draws = rng.choice(len(rule.input_values), size=(chunk, n_vertices), p=rule.input_probs)
-        out = outputs(np.concatenate([draws[:, ball_u], draws[:, ball_v]]))
-        counts += np.bincount(out[:chunk] * m + out[chunk:], minlength=m * m)
+        uniforms = rng.random((chunk, n_vertices))
+        labels = np.zeros((chunk, n_vertices), dtype=np.int64)
+        for threshold in cdf[:-1]:
+            labels += uniforms >= threshold
+        out = outputs(keys_of(labels).ravel())
+        counts += np.bincount(out[0::2] * m + out[1::2], minlength=m * m)
         remaining -= chunk
     J = joint_from_counts(counts.reshape(m, m), seed)
     values = _numeric_values(rule.output_values)
@@ -450,10 +490,6 @@ class FiniteGraphInstance:
             raise ValueError("adjacency repeats a neighbour")
         if not np.array_equal(edges, np.sort(heads * self.n + tails)):
             raise ValueError("adjacency has a one-sided edge")
-
-    @property
-    def is_regular(self) -> bool:
-        return all(len(nbrs) == self.d for nbrs in self.adjacency)
 
     def edges(self) -> list[tuple[int, int]]:
         return [

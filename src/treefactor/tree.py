@@ -63,15 +63,8 @@ class BallRegion:
     centers: tuple[tuple[Word, int], ...]
     balls: tuple[tuple[int, ...], ...]
 
-    def index_of(self, v: Word) -> int:
-        if v not in self:
-            raise KeyError(v)
-        return self._index[v.letters]
-
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {v.letters: i for i, v in enumerate(self.vertices)}
-        )
+        object.__setattr__(self, "_letters", frozenset(v.letters for v in self.vertices))
         neighbors: list[list[int]] = [[] for _ in self.vertices]
         for a, b in self.adjacency:
             neighbors[a].append(b)
@@ -79,7 +72,7 @@ class BallRegion:
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(ns)) for ns in neighbors))
 
     def __contains__(self, v: Word) -> bool:
-        return v.sig == self.vertices[0].sig and v.letters in self._index
+        return v.sig == self.vertices[0].sig and v.letters in self._letters
 
     def to_json(self) -> str:
         payload = {

@@ -41,10 +41,6 @@ class FreeProductSignature:
     def num_generators(self) -> int:
         return self.r + self.t
 
-    def letter_inverse(self, letter: int) -> int:
-        """Inverse of a signed letter; order-2 letters are self-inverse."""
-        return -letter if abs(letter) <= self.r else letter
-
     def alphabet(self) -> tuple[int, ...]:
         """All 2r+t signed letters, in the fixed order a1, a1^-1, a2, ..."""
         letters = []
@@ -134,10 +130,6 @@ class Word:
 
     def sort_key(self) -> tuple:
         return _letters_sort_key(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
 
     @classmethod
     def identity(cls, sig: FreeProductSignature) -> "Word":

@@ -104,7 +104,8 @@ class TestGraphValidation:
     def test_simple_graphs_pass(self):
         assert short_cycle_count(FiniteGraphInstance(3, 2, ((1, 2), (0, 2), (0, 1))), 3) == 1
         assert FiniteGraphInstance(0, 3, ()).n == 0
-        assert random_regular_graph(200, 3, 1).is_regular
+        G = random_regular_graph(200, 3, 1)
+        assert all(len(nbrs) == G.d for nbrs in G.adjacency)
 
 
 class TestShortCycleCount:

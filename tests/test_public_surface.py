@@ -1,10 +1,12 @@
-"""Every public function and class of the library has a caller outside the tests.
+"""Every public function, class, method and property of the library has a
+caller outside the tests.
 
 A module-level function or class whose name does not start with ``_`` must
 be referenced by name from another library module, from its own module's
-code outside its definition, or from a ``bench/*.py`` script.  Imports in
-`__init__.py` do not count: re-exporting a name does not call it.  The
-names in ``KEPT`` are the only exceptions.
+code outside its definition, or from a ``bench/*.py`` script.  So must each
+public method or property of such a class, which is referenced as an
+attribute.  Imports in `__init__.py` do not count: re-exporting a name does
+not call it.  The names in ``KEPT`` are the only exceptions.
 """
 
 import ast
@@ -43,8 +45,21 @@ def _referenced(nodes) -> set[str]:
     return names
 
 
+def _public_definitions(tree: ast.Module):
+    """(name, node) of each public top-level function and class, and of
+    each public method and property of those classes as ``Class.method``."""
+    for defn in tree.body:
+        if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or defn.name.startswith("_"):
+            continue
+        yield defn.name, defn
+        if isinstance(defn, ast.ClassDef):
+            for method in defn.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{defn.name}.{method.name}", method
+
+
 def unreferenced(modules: dict[str, ast.Module], callers: set[str]) -> list[str]:
-    """The public top-level definitions of ``modules`` that nothing else references.
+    """The public definitions of ``modules`` that nothing else references.
 
     ``callers`` holds the names referenced from outside the library.
     """
@@ -55,13 +70,11 @@ def unreferenced(modules: dict[str, ast.Module], callers: set[str]) -> list[str]
         for other, other_nodes in nodes.items():
             if other != name:
                 others |= _referenced(other_nodes)
-        for defn in tree.body:
-            if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or defn.name.startswith("_"):
-                continue
+        for qualified, defn in _public_definitions(tree):
             inside = {id(node) for node in ast.walk(defn)}
             own = _referenced(node for node in nodes[name] if id(node) not in inside)
             if defn.name not in others | own:
-                found.append(f"{name}:{defn.lineno} {defn.name}")
+                found.append(f"{name}:{defn.lineno} {qualified}")
     return found
 
 
@@ -71,6 +84,22 @@ def test_guard_catches_a_planted_unreferenced_function():
         "b.py": ast.parse("from .a import used\n\nclass Local:\n    pass\n\nLocal()\n"),
     }
     assert unreferenced(modules, set()) == ["a.py:4 planted"]
+    assert unreferenced(modules, {"planted"}) == []
+
+
+def test_guard_catches_a_planted_unreferenced_method():
+    source = (
+        "class Graph:\n"
+        "    def edges(self):\n        return self.planted\n\n"
+        "    @property\n    def planted(self):\n        return self.planted\n\n"
+        "    def _private(self):\n        pass\n\n"
+        "def build():\n    return Graph().edges()\n\n"
+        "build()\n"
+    )
+    modules = {"a.py": ast.parse(source)}
+    assert unreferenced(modules, set()) == []
+    modules = {"a.py": ast.parse(source.replace("return self.planted\n\n    @", "pass\n\n    @"))}
+    assert unreferenced(modules, set()) == ["a.py:6 Graph.planted"]
     assert unreferenced(modules, {"planted"}) == []
 
 

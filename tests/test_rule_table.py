@@ -4,11 +4,12 @@ they replaced.
 The reference derives the rooted children of both balls from the region's
 edge list, builds the canonical code of both balls and calls the rule
 once per enumerated configuration or per sample, as ``exact_joint`` and
-``mc_joint`` did before.  Monte Carlo reads the same Philox draws, so the
-counts must be identical.  With uniform inputs every configuration weight
-is a power of two and every partial sum is exact, so the exact joints must
-agree bit for bit; other input laws sum the same weights in blocks, which
-moves only the last bits.
+``mc_joint`` did before.  Monte Carlo reads the same Philox draws, the
+reference through ``Generator.choice`` and ``mc_joint`` by thresholding the
+uniforms that ``choice`` draws, so the counts must be identical.  With
+uniform inputs every configuration weight is a power of two and every
+partial sum is exact, so the exact joints must agree bit for bit; other
+input laws sum the same weights in blocks, which moves only the last bits.
 """
 
 from dataclasses import replace
@@ -71,8 +72,8 @@ class RefSetup:
             [(u, radius), (v, radius)], budget=DEFAULT_REGION_VERTEX_BUDGET
         )
         n = len(self.region.vertices)
-        self.root_u = self.region.index_of(u)
-        self.root_v = self.region.index_of(v)
+        self.root_u = self.region.vertices.index(u)
+        self.root_v = self.region.vertices.index(v)
         self.children_u = rooted_children(self.region.adjacency, n, self.root_u, radius)
         self.children_v = rooted_children(self.region.adjacency, n, self.root_v, radius)
 
@@ -158,6 +159,18 @@ def letters_rule():
     )
 
 
+def three_letter_rule(d):
+    """Three letters with a skewed law whose cumulative sum ends at
+    0.9999999999999999, not 1, as ``Generator.choice`` meets it before it
+    normalises."""
+
+    def fn(code):
+        root, kids = code
+        return (2 * root + sum(label for label, _ in kids)) % 3
+
+    return BlockFactorRule("three-letter", 1, (0, 1, 2), (0.7, 0.2, 0.1), (0, 1, 2), fn)
+
+
 def depth_two_rule():
     """A radius-2 rule that weighs each child's label by its own subtree,
     so the table must cover the second level of the ball."""
@@ -184,7 +197,10 @@ class TestMonteCarlo:
         new = mc_joint(rule, d, k, 1_500, seed)
         assert_same_measurement(new, ref_mc_joint(rule, d, k, 1_500, seed))
 
-    @pytest.mark.parametrize("factory, d, k", [(majority_rule, 3, 2), (parity_rule, 5, 1)])
+    @pytest.mark.parametrize(
+        "factory, d, k",
+        [(majority_rule, 3, 2), (parity_rule, 5, 1), (three_letter_rule, 3, 0), (three_letter_rule, 4, 2)],
+    )
     def test_counts_identical_over_a_partial_chunk(self, factory, d, k):
         samples = 12_345
         assert samples % MC_CHUNK != 0
@@ -197,6 +213,18 @@ class TestMonteCarlo:
         rule = letters_rule()
         new = mc_joint(rule, 3, k, 4_000, 5)
         assert_same_measurement(new, ref_mc_joint(rule, 3, k, 4_000, 5))
+
+    def test_thresholds_are_normalised_as_choice_normalises(self):
+        # The law sums to 1 + 1e-13.  Its first cumulative value lies just above
+        # the first uniform of seed 0, and divided by that sum just below it, so
+        # only normalised thresholds give that vertex the label choice gives it.
+        first = np.random.Generator(np.random.Philox(key=0)).random()
+        p0 = first * (1 + 5e-14)
+        rule = BlockFactorRule("crafted", 0, (0, 1), (p0, 1 - p0 + 1e-13), (0, 1), lambda code: code[0])
+        cdf = np.cumsum(rule.input_probs)
+        assert cdf[0] > first >= cdf[0] / cdf[-1]
+        new = mc_joint(rule, 3, 0, 200, 0)
+        assert_same_measurement(new, ref_mc_joint(rule, 3, 0, 200, 0))
 
     def test_depth_two_rule_counts_identical(self):
         rule = depth_two_rule()
