@@ -10,8 +10,10 @@ on the labels of the vertices the two balls share; both go through the
 same evaluation of the rule, keyed by each ball labeling's mixed-radix
 code.  Monte Carlo labels are the uniforms ``Generator.choice`` would draw,
 thresholded at the cumulative input law, and one integer product gives the
-codes of both balls; only balls whose codes do not fit in int64 key their
-labelings by raw label bytes.
+codes of both balls; small balls look the rule's outputs up in a dense
+table indexed by code, and only balls whose codes do not fit in int64 key
+their labelings by raw label bytes.  Measurements work on the letter tuples
+of the region and build no ``Word``.
 """
 
 from __future__ import annotations
@@ -41,13 +43,15 @@ from .information import (
 )
 from .tree import (
     BallRegion,
+    _path_letters,
+    ball,
     ball_size,
     listing_ratio,
     origin,
     region_from_balls,
     sphere_size,
-    vertex_at_distance,
 )
+from .words import FreeProductSignature
 
 DEFAULT_ENUM_BUDGET = 2**18
 DEFAULT_REGION_VERTEX_BUDGET = 60_000
@@ -259,9 +263,9 @@ def _two_balls(d: int, radius: int, k: int) -> tuple[BallRegion, list[int], list
     each ball as region indices breadth-first from its root, and the shape
     that every such ball has in that order: the children of each position,
     as positions in the ball."""
-    u = origin(d)
-    v = vertex_at_distance(u, k)
-    region = region_from_balls([(u, radius), (v, radius)], budget=DEFAULT_REGION_VERTEX_BUDGET)
+    sig = FreeProductSignature(0, d)
+    centers = [((), radius), (_path_letters(sig, (), k), radius)]
+    region = region_from_balls(sig, centers, budget=DEFAULT_REGION_VERTEX_BUDGET)
     ball_u, ball_v = (list(ball) for ball in region.balls)
     # The root has d children and every other inner position d-1, each block
     # right after the one before, because a ball is listed level by level.
@@ -294,23 +298,50 @@ def _ball_outputs(rule: BlockFactorRule, shape: tuple) -> Callable[[np.ndarray],
     A labeling's key is its mixed-radix code (``_place_values``).  Only a
     ball whose codes do not fit in int64 keys a labeling by its row of label
     indices as raw bytes (``_row_keys``).  Every ball has the same shape, so
-    one evaluation of the rule serves the balls at u and at v alike.  The
-    keys are made unique per call, and only those not seen before are
-    decoded into labels, in one array operation, and run through the rule;
-    its outputs are kept across calls, so a measurement builds at most
-    min(keys, |A|^|B_R|) canonical codes, whatever the ball size.  Past
-    ``_KNOWN_LABELINGS`` kept outputs the store starts afresh, so large
-    balls, whose labelings seldom repeat, cost no more memory than small.
+    one evaluation of the rule serves the balls at u and at v alike.  Only
+    keys not seen before are decoded into labels, in one array operation,
+    and run through the rule, once per distinct key; outputs are kept across
+    calls, so a measurement builds at most min(keys, |A|^|B_R|) canonical
+    codes, whatever the ball size.
+
+    A ball with at most ``_KNOWN_LABELINGS`` labelings keeps the outputs in
+    a dense int64 table indexed by code, -1 where not yet evaluated: a call
+    whose codes are all in the table is one gather, with no ``np.unique``.
+    Larger balls make their keys unique per call and look them up in a
+    store that starts afresh past ``_KNOWN_LABELINGS`` outputs, so balls
+    whose labelings seldom repeat cost no more memory than small ones.
     """
     n_values = len(rule.input_values)
     out_index = {val: i for i, val in enumerate(rule.output_values)}
-    known: dict = {}  # labeling key -> index of the rule's output
     place = _place_values(n_values, len(shape))
 
-    def labels_of(keys: np.ndarray) -> np.ndarray:
+    def evaluate(keys: np.ndarray) -> list[int]:
         if place is None:
-            return keys.view(np.int64).reshape(len(keys), len(shape))
-        return keys[:, None] // place % n_values
+            rows = keys.view(np.int64).reshape(len(keys), len(shape))
+        else:
+            rows = keys[:, None] // place % n_values
+        outs = []
+        for row in rows.tolist():
+            ball_labels = [rule.input_values[i] for i in row]
+            outs.append(out_index[rule.fn(canonical_ball_code(ball_labels, 0, shape))])
+        return outs
+
+    if place is not None and n_values ** len(shape) <= _KNOWN_LABELINGS:
+        table = np.full(n_values ** len(shape), -1, dtype=np.int64)
+
+        def outputs(codes: np.ndarray) -> np.ndarray:
+            out = table[codes]
+            missing = out < 0
+            if missing.any():
+                # The distinct missing codes in order, from a count over the table's range.
+                new = np.flatnonzero(np.bincount(codes[missing], minlength=len(table)))
+                table[new] = evaluate(new)
+                out = table[codes]
+            return out
+
+        return outputs
+
+    known: dict = {}  # labeling key -> index of the rule's output
 
     def outputs(keys: np.ndarray) -> np.ndarray:
         if len(known) > _KNOWN_LABELINGS:
@@ -319,10 +350,8 @@ def _ball_outputs(rule: BlockFactorRule, shape: tuple) -> Callable[[np.ndarray],
         unique_keys = unique.tolist()
         found = np.fromiter((known.get(key, -1) for key in unique_keys), np.int64, len(unique_keys))
         new = np.flatnonzero(found < 0)
-        for j, row in zip(new.tolist(), labels_of(unique[new]).tolist()):
-            ball_labels = [rule.input_values[i] for i in row]
-            out = out_index[rule.fn(canonical_ball_code(ball_labels, 0, shape))]
-            found[j] = known[unique_keys[j]] = out
+        found[new] = evaluate(unique[new])
+        known.update(zip((unique_keys[j] for j in new.tolist()), found[new].tolist()))
         return found[inverse]
 
     return outputs
@@ -418,7 +447,7 @@ def mc_joint(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     region, ball_u, ball_v, shape = _two_balls(d, rule.radius, k)
-    n_vertices = len(region.vertices)
+    n_vertices = len(region.letters)
     outputs = _ball_outputs(rule, shape)
     cdf = np.asarray(rule.input_probs, dtype=float).cumsum()
     cdf /= cdf[-1]  # as Generator.choice does: the law may not sum to exactly 1
@@ -533,8 +562,8 @@ def random_regular_graph(n: int, d: int, seed: int) -> FiniteGraphInstance:
 
 def tree_ball_graph(d: int, radius: int) -> FiniteGraphInstance:
     """The ball of the d-regular tree as a finite graph (leaves included)."""
-    region = region_from_balls([(origin(d), radius)])
-    return FiniteGraphInstance(len(region.vertices), d, region.neighbors, None)
+    region = ball(origin(d), radius)
+    return FiniteGraphInstance(len(region.letters), d, region.neighbors, None)
 
 
 def short_cycle_count(G: FiniteGraphInstance, max_length: int = 6) -> int:
@@ -1043,8 +1072,8 @@ def _sign_pair_weights(
     # A ball lists its positions level by level: depth j fills sphere_size(d, j) of them.
     depth = np.repeat(np.arange(D + 1), [sphere_size(spec.d, j) for j in range(D + 1)])
     alpha = np.array([spec.alpha(j) for j in range(D + 1)])[depth]
-    w_u = np.zeros(len(region.vertices))
-    w_v = np.zeros(len(region.vertices))
+    w_u = np.zeros(len(region.letters))
+    w_v = np.zeros(len(region.letters))
     w_u[ball_u] = alpha
     w_v[ball_v] = alpha
     return region, w_u, w_v

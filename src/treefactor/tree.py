@@ -1,24 +1,28 @@
 """Finite combinatorics of the d-regular tree.
 
 A vertex is a reduced ``Word``, so distances and the swap symmetry of a
-vertex pair come from the word algebra for free.
+vertex pair come from the word algebra for free.  Regions keep the bare
+letter tuples and build ``Word`` vertices only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BudgetExceededError
 from .words import (
     FreeProductSignature,
     Word,
     _ball_words,
-    _letters_sort_key,
+    _check_reduced,
+    _letters_to_str,
+    _sorted_letters,
     inverse,
     multiply,
-    word_to_str,
 )
 
 DEFAULT_BALL_BUDGET = 1_000_000
@@ -28,12 +32,11 @@ def origin(d: int) -> Word:
     return Word.identity(FreeProductSignature(0, d))
 
 
-def vertex_at_distance(start: Word, k: int) -> Word:
-    """Some vertex at distance exactly k from ``start`` (a straight path)."""
+def _path_letters(sig: FreeProductSignature, start: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The letters of some vertex at distance exactly k from ``start`` (a straight path)."""
     if k < 0:
         raise ValueError(f"distance must be >= 0, got {k}")
-    sig = start.sig
-    last = start.letters[-1] if start.letters else 0
+    last = start[-1] if start else 0
     if sig.r >= 1:
         x = -1 if last == -1 else 1
         letters = (x,) * k
@@ -41,7 +44,12 @@ def vertex_at_distance(start: Word, k: int) -> Word:
         first = 2 if last == 1 else 1
         other = 2 if first == 1 else 1
         letters = tuple(first if i % 2 == 0 else other for i in range(k))
-    return Word(start.letters + letters, sig)
+    return start + letters
+
+
+def vertex_at_distance(start: Word, k: int) -> Word:
+    """Some vertex at distance exactly k from ``start`` (a straight path)."""
+    return Word(_path_letters(start.sig, start.letters, k), start.sig)
 
 
 def dist(u: Word, v: Word) -> int:
@@ -51,46 +59,90 @@ def dist(u: Word, v: Word) -> int:
     return len(multiply(inverse(u), v))
 
 
+class _Vertices(Sequence):
+    """A region's vertices as validated ``Word``s, all built on the first
+    read of an item; the length is read off the letter tuples."""
+
+    def __init__(self, letters: tuple[tuple[int, ...], ...], sig: FreeProductSignature):
+        self._letters = letters
+        self._sig = sig
+
+    def __len__(self) -> int:
+        return len(self._letters)
+
+    def __getitem__(self, i):
+        return self._words[i]
+
+    @cached_property
+    def _words(self) -> tuple[Word, ...]:
+        return tuple(Word(w, self._sig) for w in self._letters)
+
+
 @dataclass(frozen=True)
 class BallRegion:
-    """A union of balls, stored as explicit vertices plus tree edges;
-    ``neighbors[i]`` lists the neighbours of vertex i in increasing order,
-    and ``balls[c]`` lists the vertices of the c-th centre's ball in the
-    breadth-first order of ``_ball_words``."""
+    """A union of balls in the tree of signature ``sig``.
 
-    vertices: tuple[Word, ...]
-    adjacency: tuple[tuple[int, int], ...]
-    centers: tuple[tuple[Word, int], ...]
+    ``letters`` holds the reduced letters of each vertex, shortest first and
+    then in ``_letters_sort_key`` order; ``centers`` holds (center letters,
+    radius) pairs, and ``balls[c]`` lists the vertices of the c-th centre's
+    ball in the breadth-first order of ``_ball_words``.  ``vertices`` (as
+    ``Word``s), ``adjacency`` (the tree edges (i, j), i < j, sorted) and
+    ``neighbors`` (``neighbors[i]`` in increasing order) are built on first
+    use; ``len(vertices)`` builds no ``Word``.
+    """
+
+    sig: FreeProductSignature
+    letters: tuple[tuple[int, ...], ...]
+    centers: tuple[tuple[tuple[int, ...], int], ...]
     balls: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_letters", frozenset(v.letters for v in self.vertices))
-        neighbors: list[list[int]] = [[] for _ in self.vertices]
+    @cached_property
+    def vertices(self) -> Sequence[Word]:
+        return _Vertices(self.letters, self.sig)
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return dict(zip(self.letters, range(len(self.letters))))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, int], ...]:
+        # Every tree edge joins a reduced word w to its parent w[:-1], which sorts first.
+        index = self._index
+        edges = [(index[w[:-1]], j) for j, w in enumerate(self.letters) if w and w[:-1] in index]
+        return tuple(sorted(edges))
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        neighbors: list[list[int]] = [[] for _ in self.letters]
         for a, b in self.adjacency:
             neighbors[a].append(b)
             neighbors[b].append(a)
-        object.__setattr__(self, "neighbors", tuple(tuple(sorted(ns)) for ns in neighbors))
+        return tuple(tuple(sorted(ns)) for ns in neighbors)
 
     def __contains__(self, v: Word) -> bool:
-        return v.sig == self.vertices[0].sig and v.letters in self._letters
+        return v.sig == self.sig and v.letters in self._index
 
     def to_json(self) -> str:
         payload = {
             "schema": 1,
-            "vertices": [word_to_str(v) for v in self.vertices],
+            "vertices": [_letters_to_str(w) for w in self.letters],
             "edges": [list(e) for e in self.adjacency],
-            "centers": [[word_to_str(c), r] for c, r in self.centers],
+            "centers": [[_letters_to_str(c), r] for c, r in self.centers],
         }
         return json.dumps(payload, sort_keys=True)
 
 
 def region_from_balls(
-    centers: list[tuple[Word, int]], budget: int = DEFAULT_BALL_BUDGET
+    sig: FreeProductSignature,
+    centers: Sequence[tuple[tuple[int, ...], int]],
+    budget: int = DEFAULT_BALL_BUDGET,
 ) -> BallRegion:
-    """Explicit union of balls; errors out instead of exceeding the budget."""
+    """Explicit union of balls, each given as (reduced letters of its
+    centre, radius) in the tree of ``sig``; errors out instead of exceeding
+    the budget.  The vertices are ordered from the letter tuples that
+    ``_ball_words`` yields, with no ``Word`` built."""
     if not centers:
         raise ValueError("need at least one center")
-    sig = centers[0][0].sig
     d = sig.degree
     # The uncapped size can run to thousands of digits, so the message names the budget.
     if sum(ball_size(d, radius) for _, radius in centers) > budget:
@@ -98,28 +150,20 @@ def region_from_balls(
         raise BudgetExceededError(
             f"balls of radius {radii} at d={d} could exceed the region budget of {budget} vertices"
         )
-    balls = []
-    for center, radius in centers:
-        if center.sig != sig:
-            raise ValueError("centers live in trees with different signatures")
-        balls.append(_ball_words(sig, radius, center.letters))
-    ordered = sorted(set().union(*balls), key=_letters_sort_key)
-    index = {w: i for i, w in enumerate(ordered)}
-    # Every tree edge joins a reduced word w to its parent w[:-1].
-    edges = []
-    for j, w in enumerate(ordered):
-        i = index.get(w[:-1]) if w else None
-        if i is not None:
-            edges.append((i, j))
-    vertices = tuple(Word(w, sig) for w in ordered)
-    balls = tuple(tuple(index[w] for w in words) for words in balls)
-    return BallRegion(vertices, tuple(sorted(edges)), tuple(centers), balls)
+    centers = tuple((tuple(center), radius) for center, radius in centers)
+    for center, _ in centers:
+        _check_reduced(center, sig)
+    balls = [_ball_words(sig, radius, center) for center, radius in centers]
+    letters = tuple(_sorted_letters(set().union(*balls), sig.r))
+    index = dict(zip(letters, range(len(letters))))
+    balls = tuple(tuple(map(index.__getitem__, words)) for words in balls)
+    return BallRegion(sig, letters, centers, balls)
 
 
 def ball(center: Word, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> BallRegion:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    return region_from_balls([(center, radius)], budget=budget)
+    return region_from_balls(center.sig, [(center.letters, radius)], budget=budget)
 
 
 def _check_degree_radius(d: int, radius: int) -> None:

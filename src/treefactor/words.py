@@ -104,9 +104,30 @@ def _ball_words(
     return words
 
 
+def _letter_rank(letter: int) -> int:
+    # a1 < a1^-1 < a2 < a2^-1 < ... ; increasing in the letter over positive letters.
+    return 2 * letter - 1 if letter > 0 else -2 * letter
+
+
 def _letters_sort_key(letters: tuple[int, ...]) -> tuple:
-    # a1 < a1^-1 < a2 < a2^-1 < ... ; shorter words first.
-    return (len(letters), tuple((abs(x), 0 if x > 0 else 1) for x in letters))
+    # Shorter words first, then letter by letter in rank order.
+    return (len(letters), tuple(map(_letter_rank, letters)))
+
+
+def _sorted_letters(words: Iterable[tuple[int, ...]], r: int) -> list[tuple[int, ...]]:
+    """``words`` in ``_letters_sort_key`` order, without a Python key per word:
+    a stable sort by length after a lexicographic sort of the rank tuples."""
+    if r == 0:  # every letter is positive, so the letters sort as their ranks do
+        return sorted(sorted(words), key=len)
+    by_rank = {tuple(map(_letter_rank, w)): w for w in words}
+    return [by_rank[ranks] for ranks in sorted(sorted(by_rank), key=len)]
+
+
+def _check_reduced(letters: tuple[int, ...], sig: FreeProductSignature) -> None:
+    for x in letters:
+        sig.validate_letter(x)
+    if letters != _multiply_raw((), letters, sig.r):
+        raise ValueError(f"letters {letters} are not in reduced form")
 
 
 @dataclass(frozen=True)
@@ -117,10 +138,7 @@ class Word:
     sig: FreeProductSignature
 
     def __post_init__(self):
-        for x in self.letters:
-            self.sig.validate_letter(x)
-        if self.letters != _multiply_raw((), self.letters, self.sig.r):
-            raise ValueError(f"letters {self.letters} are not in reduced form")
+        _check_reduced(self.letters, self.sig)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -166,9 +184,13 @@ _LETTER_RE = re.compile(r"([aA])(\d+)")
 
 def word_to_str(w: Word) -> str:
     """Serialize as e.g. ``a1A2a1``; uppercase marks an inverse; e is empty."""
-    if not w.letters:
+    return _letters_to_str(w.letters)
+
+
+def _letters_to_str(letters: tuple[int, ...]) -> str:
+    if not letters:
         return "e"
-    return "".join(f"a{x}" if x > 0 else f"A{-x}" for x in w.letters)
+    return "".join(f"a{x}" if x > 0 else f"A{-x}" for x in letters)
 
 
 def word_from_str(text: str, sig: FreeProductSignature) -> Word:

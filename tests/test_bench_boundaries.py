@@ -3,10 +3,11 @@
 ``bench/tracing.py`` replaces each ``(module, attribute)`` of its
 ``BOUNDARIES`` for the length of a traced pass and stops the run when one
 is missing, so renaming or deleting one of these attributes breaks
-``bench/run.py --trace 1``.  This test catches that without running the
-benchmark, and likewise every ``treefactor`` name that a ``bench/*.py``
-script imports or reads off an imported ``treefactor`` module: the
-benchmark never runs ``make_reference.py``.
+``bench/run.py --trace 1``, and the work counts that it reads off return
+values must work on what those calls return.  These tests catch both
+without running the benchmark, and likewise every ``treefactor`` name that
+a ``bench/*.py`` script imports or reads off an imported ``treefactor``
+module: the benchmark never runs ``make_reference.py``.
 """
 
 import ast
@@ -39,6 +40,56 @@ def test_every_boundary_resolves_to_a_callable(tracing):
     for module_name, attr in sites:
         fn = getattr(importlib.import_module(module_name), attr, None)
         assert callable(fn), f"traced boundary {module_name}.{attr} is missing"
+
+
+def real_returns():
+    """For the first site of each boundary that counts work: a call of that
+    function on small inputs, and the count its return value must give."""
+    from treefactor import cli, processes
+    from treefactor.words import FreeProductSignature
+
+    graph = processes.random_regular_graph(40, 3, seed=1)
+    spec = processes.GaussianSignSpec(3, 0.25, 8, tail_tol=None)
+    positive = (lambda n: n > 0)
+    return {
+        ("treefactor.cli", "verify_free_claim"):
+            (lambda: cli.verify_free_claim(cli.build_generators(3, 2), 2), positive),
+        ("treefactor.cli", "verify_coset_factorization"):
+            (lambda: cli.verify_coset_factorization(4, 3, 4), positive),
+        # d=3, R=8, k=4: two 766-vertex balls that share 190 vertices.
+        ("treefactor.processes", "region_from_balls"):
+            (lambda: processes.region_from_balls(FreeProductSignature(0, 3),
+                                                 [((), 8), ((1, 2, 1, 2), 8)]),
+             (lambda n: n == 1342)),
+        ("treefactor.cli", "mc_joint"):
+            (lambda: cli.mc_joint(processes.majority_rule(3), 3, 2, 500, 1), (lambda n: n == 500)),
+        ("treefactor.cli", "gaussian_sign_measure"):
+            (lambda: cli.gaussian_sign_measure(spec, 4, 300, 2), (lambda n: n == 300)),
+        ("treefactor.cli", "sparse_set_labeling"):
+            (lambda: cli.sparse_set_labeling(graph, 2, 3), positive),
+        ("treefactor.cli", "sparse_coloring"):
+            (lambda: cli.sparse_coloring(graph, 2, 4), positive),
+    }
+
+
+def test_every_count_reads_a_real_return_value(tracing):
+    counted = [boundary for boundary in tracing.BOUNDARIES if boundary.count is not None]
+    calls = real_returns()
+    assert {boundary.sites[0] for boundary in counted} == set(calls)
+    for boundary in counted:
+        call, expected = calls[boundary.sites[0]]
+        count = boundary.count(call())
+        assert isinstance(count, int) and expected(count), boundary.sites[0]
+
+
+def test_tracer_counts_the_region_vertices(tracing):
+    from treefactor import processes
+
+    with tracing.Tracer() as tracer:
+        processes._two_balls(3, 8, 4)
+    stats = tracing.aggregate(tracer.spans)
+    assert stats["tree.region_from_balls"].count == 1342
+    assert stats["tree.region_from_balls"].calls == 1
 
 
 def bench_library_names(tree: ast.Module) -> list[tuple[str, str]]:

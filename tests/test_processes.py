@@ -153,6 +153,16 @@ class TestExactJoint:
             pm = exact_joint(parity_rule(3), 3, k)
             assert pm.mi.value == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_parity_information_and_correlation_are_exactly_zero(self, d, k):
+        # Fair labels on the vertices of B_u outside B_v make parity(B_u)
+        # independent of parity(B_v): the joint is uniform, and the sums are exact.
+        pm = exact_joint(parity_rule(d), d, k)
+        assert pm.joint.as_array.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+        assert pm.mi.value == 0.0
+        assert pm.corr.value == 0.0
+
     def test_exchangeable(self):
         for k in (1, 2):
             pm = exact_joint(majority_rule(4), 4, k)
@@ -199,6 +209,20 @@ class TestMcJoint:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             mc_joint(majority_rule(3), 3, 1, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "factory, d, k, seed, counts",
+        [
+            (majority_rule, 3, 2, 101, ((6628, 5811), (5839, 6722))),
+            (parity_rule, 4, 3, 202, ((6280, 6267), (6185, 6268))),
+        ],
+    )
+    def test_seeded_counts_are_pinned(self, factory, d, k, seed, counts):
+        # Recorded before the region was built from letter tuples: the order
+        # of the region's vertices decides which uniform labels which vertex,
+        # so a reordered region changes these counts.
+        pm = mc_joint(factory(d), d, k, 25_000, seed)
+        assert pm.joint.counts == counts
 
 
 class TestRandomRegularGraph:
@@ -574,6 +598,13 @@ class TestBinarySymmetricMi:
 
 
 class TestGaussianSignMeasure:
+    def test_seeded_counts_are_pinned(self):
+        # Recorded before the region was built from letter tuples.
+        spec = GaussianSignSpec(3, 0.25, 8, tail_tol=None)
+        pm = gaussian_sign_measure(spec, 4, 25_000, 303)
+        assert pm.joint.counts == ((7525, 5107), (5022, 7346))
+        assert len(pm.region.vertices) == 1342
+
     def test_closed_form_measurement(self):
         spec = GaussianSignSpec(3, 0.25, 200, tail_tol=None)
         pm = gaussian_sign_measure(spec, 3, 0)

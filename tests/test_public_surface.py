@@ -29,6 +29,7 @@ KEPT = {
     "is_palindrome": "word algebra that the tests use as an oracle",
     "word_from_str": "word algebra that the tests use to build fixtures",
     "tree_ball_graph": "finite tree ball that the tests use as an oracle",
+    "vertex_at_distance": "tree vertex that the tests use to build fixtures",
 }
 
 

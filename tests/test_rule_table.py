@@ -1,15 +1,17 @@
 """Block rules evaluated once per distinct ball labeling, against the loops
 they replaced.
 
-The reference derives the rooted children of both balls from the region's
-edge list, builds the canonical code of both balls and calls the rule
-once per enumerated configuration or per sample, as ``exact_joint`` and
-``mc_joint`` did before.  Monte Carlo reads the same Philox draws, the
-reference through ``Generator.choice`` and ``mc_joint`` by thresholding the
-uniforms that ``choice`` draws, so the counts must be identical.  With
-uniform inputs every configuration weight is a power of two and every
-partial sum is exact, so the exact joints must agree bit for bit; other
-input laws sum the same weights in blocks, which moves only the last bits.
+The reference orders the union of the two balls by its own sort key, takes
+the edges from the group multiplication, derives the rooted children of
+both balls from that edge list, builds the canonical code of both balls
+and calls the rule once per enumerated configuration or per sample, as
+``exact_joint`` and ``mc_joint`` did before.  Monte Carlo reads the same
+Philox draws, the reference through ``Generator.choice`` and ``mc_joint``
+by thresholding the uniforms that ``choice`` draws, so the counts must be
+identical.  With uniform inputs every configuration weight is a power of
+two and every partial sum is exact, so the exact joints must agree bit for
+bit; other input laws sum the same weights in blocks, which moves only the
+last bits.
 """
 
 from dataclasses import replace
@@ -18,14 +20,16 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
+from treefactor import processes
 from treefactor.errors import BudgetExceededError
 from treefactor.information import JointDistribution, joint_from_counts
 from treefactor.processes import (
     DEFAULT_ENUM_BUDGET,
-    DEFAULT_REGION_VERTEX_BUDGET,
     MC_CHUNK,
     BlockFactorRule,
+    _ball_outputs,
     _numeric_values,
+    _row_keys,
     _two_balls,
     canonical_ball_code,
     exact_joint,
@@ -35,7 +39,8 @@ from treefactor.processes import (
     measurement_from_joint,
     parity_rule,
 )
-from treefactor.tree import ball_size, origin, region_from_balls, vertex_at_distance
+from treefactor.tree import ball_size, origin, vertex_at_distance
+from treefactor.words import Word, _ball_words, multiply
 
 UNIFORM_RULES = [identity_rule, majority_rule, parity_rule]
 
@@ -62,20 +67,35 @@ def rooted_children(adjacency, n_vertices, root, radius):
     return tuple(children)
 
 
+def oracle_sort_key(letters):
+    """Shorter words first, then letter by letter: a1 < a1^-1 < a2 < a2^-1 < ..."""
+    return (len(letters), [(abs(x), x < 0) for x in letters])
+
+
 class RefSetup:
-    """The union region of the two balls with each ball's rooted children."""
+    """The union of the two balls, built without ``region_from_balls``: its
+    vertices in ``oracle_sort_key`` order, its edges joining each vertex w
+    to w·x for every letter x, and each ball's rooted children."""
 
     def __init__(self, d, radius, k):
         u = origin(d)
         v = vertex_at_distance(u, k)
-        self.region = region_from_balls(
-            [(u, radius), (v, radius)], budget=DEFAULT_REGION_VERTEX_BUDGET
-        )
-        n = len(self.region.vertices)
-        self.root_u = self.region.vertices.index(u)
-        self.root_v = self.region.vertices.index(v)
-        self.children_u = rooted_children(self.region.adjacency, n, self.root_u, radius)
-        self.children_v = rooted_children(self.region.adjacency, n, self.root_v, radius)
+        sig = u.sig
+        union = set(_ball_words(sig, radius, u.letters)) | set(_ball_words(sig, radius, v.letters))
+        self.vertices = [Word(w, sig) for w in sorted(union, key=oracle_sort_key)]
+        index = {w.letters: i for i, w in enumerate(self.vertices)}
+        steps = [Word((x,), sig) for x in sig.alphabet()]
+        self.adjacency = tuple(sorted({
+            tuple(sorted((i, index[nb.letters])))
+            for i, w in enumerate(self.vertices)
+            for nb in (multiply(w, step) for step in steps)
+            if nb.letters in index
+        }))
+        n = len(self.vertices)
+        self.root_u = self.vertices.index(u)
+        self.root_v = self.vertices.index(v)
+        self.children_u = rooted_children(self.adjacency, n, self.root_u, radius)
+        self.children_v = rooted_children(self.adjacency, n, self.root_v, radius)
 
 
 def ref_ball(root, children):
@@ -90,7 +110,7 @@ def ref_ball(root, children):
 def ref_exact_joint(rule, d, k):
     """The per-configuration loop: product weight, two canonical codes."""
     setup = RefSetup(d, rule.radius, k)
-    n_vertices = len(setup.region.vertices)
+    n_vertices = len(setup.vertices)
     out_index = {val: i for i, val in enumerate(rule.output_values)}
     m = len(rule.output_values)
     joint = np.zeros((m, m), dtype=float)
@@ -114,7 +134,7 @@ def ref_exact_joint(rule, d, k):
 def ref_mc_joint(rule, d, k, samples, seed):
     """The per-sample loop over the same Philox draws as ``mc_joint``."""
     setup = RefSetup(d, rule.radius, k)
-    n_vertices = len(setup.region.vertices)
+    n_vertices = len(setup.vertices)
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = len(rule.output_values)
     out_index = {val: i for i, val in enumerate(rule.output_values)}
@@ -286,6 +306,67 @@ class TestExact:
             exact_joint(majority_rule(3), 3, 1, budget=2**4 - 1)
 
 
+class TestOutputTable:
+    """Balls with at most ``_KNOWN_LABELINGS`` labelings look their outputs
+    up in a dense table indexed by code, larger ones in a store of unique
+    keys; both must give every code the output of its own labeling."""
+
+    def expected(self, rule, shape, codes):
+        """The rule's output index for each code, one labeling at a time."""
+        n_values = len(rule.input_values)
+        out = []
+        for code in codes.tolist():
+            digits = [code // n_values ** (len(shape) - 1 - p) % n_values for p in range(len(shape))]
+            labels = [rule.input_values[i] for i in digits]
+            out.append(rule.output_values.index(rule.fn(canonical_ball_code(labels, 0, shape))))
+        return out
+
+    @pytest.mark.parametrize("factory, d", [(three_letter_rule, 3), (lambda d: letters_rule(), 3),
+                                            (majority_rule, 4)])
+    def test_table_and_store_agree_on_either_side_of_the_limit(self, monkeypatch, factory, d):
+        rule = factory(d)
+        shape = _two_balls(d, rule.radius, 0)[3]
+        n_labelings = len(rule.input_values) ** len(shape)
+        rng = np.random.default_rng(n_labelings)
+        codes = rng.integers(0, n_labelings, size=3 * n_labelings)
+        distinct = len(np.unique(codes))
+        assert n_labelings // 2 < distinct < n_labelings
+        want = self.expected(rule, shape, codes)
+        assert len(set(want)) > 1
+        real_unique = np.unique
+        uniques = []
+
+        def counting_unique(*args, **kwargs):
+            uniques.append(len(args[0]))
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        runs = {}
+        # At the limit the table holds every labeling, and a call whose codes
+        # are all known makes none unique.  Below it the store makes every
+        # call's keys unique, and past its limit it starts afresh.
+        for limit in (n_labelings, n_labelings - 1, distinct - 1):
+            monkeypatch.setattr(processes, "_KNOWN_LABELINGS", limit)
+            counted, calls = counting(rule)
+            outputs = _ball_outputs(counted, shape)
+            first = outputs(codes)
+            del uniques[:]
+            second = outputs(codes)
+            assert first.tolist() == second.tolist() == want, limit
+            runs[limit] = (len(calls), uniques[:])
+        assert runs[n_labelings] == (distinct, [])
+        assert runs[n_labelings - 1] == (distinct, [len(codes)])
+        assert runs[distinct - 1] == (2 * distinct, [len(codes)])
+
+    def test_table_and_store_give_the_same_counts(self, monkeypatch):
+        rule = three_letter_rule(4)
+        table = mc_joint(rule, 4, 2, 12_345, 77)
+        monkeypatch.setattr(processes, "_KNOWN_LABELINGS", 3**5 - 1)
+        store = mc_joint(rule, 4, 2, 12_345, 77)
+        assert_same_measurement(table, store)
+        assert_same_measurement(table, ref_mc_joint(rule, 4, 2, 12_345, 77))
+
+
 class TestLargeBalls:
     """Balls with more labelings than any table could hold: the rule runs
     only on the labelings that the draws contain."""
@@ -311,6 +392,16 @@ class TestLargeBalls:
         rule = self.wide_rule()
         new = mc_joint(rule, 7, 1, 40, 0)
         assert_same_measurement(new, ref_mc_joint(rule, 7, 1, 40, 0))
+
+    def test_raw_byte_keys_seen_again_are_not_evaluated_again(self):
+        rule, calls = counting(self.wide_rule())
+        shape = _two_balls(7, 3, 0)[3]
+        labels = np.random.default_rng(0).integers(0, 2, size=(6, len(shape)))
+        outputs = _ball_outputs(rule, shape)
+        keys = _row_keys(labels)
+        first, second = outputs(keys), outputs(keys)
+        assert first.tolist() == second.tolist() == labels[:, 0].tolist()
+        assert len(calls) == 6
 
     def test_exact_still_refuses_an_enumeration_over_budget(self):
         with pytest.raises(BudgetExceededError, match="label configurations exceed"):
@@ -349,7 +440,8 @@ class TestEvaluationCount:
     def test_balls_at_u_and_v_have_one_shape(self, d, radius, k):
         region, ball_u, ball_v, shape = _two_balls(d, radius, k)
         ref = RefSetup(d, radius, k)
-        assert region == ref.region
+        assert list(region.vertices) == ref.vertices
+        assert region.adjacency == ref.adjacency
         rng = np.random.default_rng([d, radius, k])
         for ball, root, children in [
             (ball_u, ref.root_u, ref.children_u),

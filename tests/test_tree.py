@@ -6,7 +6,14 @@ import pytest
 
 from treefactor.bounds import normalized_mi_bound
 from treefactor.errors import BudgetExceededError
-from treefactor.processes import majority_rule, mc_joint
+from treefactor.processes import (
+    GaussianSignSpec,
+    _two_balls,
+    exact_joint,
+    gaussian_sign_measure,
+    majority_rule,
+    mc_joint,
+)
 from treefactor.tree import (
     ball,
     ball_intersection_size,
@@ -18,7 +25,14 @@ from treefactor.tree import (
     sphere_size,
     vertex_at_distance,
 )
-from treefactor.words import FreeProductSignature, Word, _ball_words, word_from_str
+from treefactor.words import (
+    FreeProductSignature,
+    Word,
+    _ball_words,
+    _letters_sort_key,
+    _sorted_letters,
+    word_from_str,
+)
 
 
 def _addresses(vertex, radius):
@@ -133,7 +147,7 @@ class TestBalls:
     def test_all_vertices_within_radius(self):
         region = ball(origin(3), 3)
         center, radius = region.centers[0]
-        assert all(dist(center, v) <= radius for v in region.vertices)
+        assert all(dist(Word(center, region.sig), v) <= radius for v in region.vertices)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -200,7 +214,7 @@ class TestListingRatio:
 def test_region_union_of_two_balls():
     u = origin(3)
     v = vertex_at_distance(u, 2)
-    region = region_from_balls([(u, 1), (v, 1)])
+    region = region_from_balls(u.sig, [(u.letters, 1), (v.letters, 1)])
     # two radius-1 balls at distance 2 share the midpoint: 4 + 4 - 1
     assert len(region.vertices) == 7
     assert len(region.adjacency) == 6
@@ -218,7 +232,89 @@ def test_region_union_of_two_balls():
     ids=["disconnected", "overlapping", "coincident", "inverse-letter-center"],
 )
 def test_region_edges_are_the_distance_one_pairs(center, radius, k):
-    region = region_from_balls([(center, radius), (vertex_at_distance(center, k), radius)])
+    v = vertex_at_distance(center, k)
+    region = region_from_balls(center.sig, [(center.letters, radius), (v.letters, radius)])
     vs = region.vertices
     pairs = [(i, j) for i in range(len(vs)) for j in range(i + 1, len(vs)) if dist(vs[i], vs[j]) == 1]
     assert region.adjacency == tuple(pairs)
+
+
+def oracle_sort_key(letters):
+    """Shorter words first, then letter by letter: a1 < a1^-1 < a2 < a2^-1 < ..."""
+    return (len(letters), [(abs(x), x < 0) for x in letters])
+
+
+@pytest.mark.parametrize(
+    "sig, center, radius, k",
+    [
+        (FreeProductSignature(0, 3), (), 3, 2),
+        (FreeProductSignature(0, 5), (2, 4), 2, 3),
+        (FreeProductSignature(1, 1), (), 3, 1),
+        (FreeProductSignature(1, 1), (-1,), 3, 2),
+        (FreeProductSignature(2, 0), (-1,), 2, 1),
+        (FreeProductSignature(2, 0), (2, -1), 2, 4),
+        (FreeProductSignature(1, 2), (3, -1), 2, 3),
+    ],
+    ids=["t3", "t5-off-origin", "r1", "r1-A1", "r2-A1", "r2-a2A1", "r1t2"],
+)
+def test_region_order_is_the_sort_key_order(sig, center, radius, k):
+    v = vertex_at_distance(Word(center, sig), k).letters
+    region = region_from_balls(sig, [(center, radius), (v, radius)])
+    union = set(_ball_words(sig, radius, center)) | set(_ball_words(sig, radius, v))
+    assert list(region.letters) == sorted(union, key=oracle_sort_key)
+    assert list(region.letters) == sorted(union, key=_letters_sort_key)
+    for c, ball_c in zip((center, v), region.balls):
+        assert [region.letters[i] for i in ball_c] == _ball_words(sig, radius, c)
+
+
+@pytest.mark.parametrize("r, t", [(0, 3), (0, 4), (1, 1), (2, 0), (1, 2), (3, 1)])
+def test_sorted_letters_is_the_sort_key_order(r, t):
+    sig = FreeProductSignature(r, t)
+    rng = np.random.default_rng([r, t])
+    words = _ball_words(sig, 4)
+    for _ in range(5):
+        chosen = [words[i] for i in rng.choice(len(words), size=40, replace=False)]
+        assert _sorted_letters(chosen, r) == sorted(chosen, key=oracle_sort_key)
+        assert sorted(chosen, key=_letters_sort_key) == sorted(chosen, key=oracle_sort_key)
+
+
+class TestWordsBuiltOnDemand:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Records the letters of every Word validated while the test runs."""
+        letters = []
+        real = Word.__post_init__
+
+        def counting(self):
+            letters.append(self.letters)
+            real(self)
+
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        return letters
+
+    def test_length_builds_no_word(self, built):
+        region = _two_balls(3, 8, 4)[0]
+        assert len(region.vertices) == 1342
+        assert built == []
+        # Reading one vertex builds them all, once.
+        assert region.vertices[5] == Word(region.letters[5], region.sig)
+        assert len(built) == 1342 + 1
+        assert list(region.vertices)[-1].letters == region.letters[-1]
+        assert len(built) == 1342 + 1
+
+    def test_measurements_build_no_word(self, built):
+        mc_joint(majority_rule(3), 3, 2, 1_000, 1)
+        exact_joint(majority_rule(3), 3, 2)
+        spec = GaussianSignSpec(3, 0.25, 8, tail_tol=None)
+        gaussian_sign_measure(spec, 4, 1_000, 3)
+        gaussian_sign_measure(spec, 4, 0)
+        assert built == []
+
+    def test_json_and_membership_build_no_vertex(self, built):
+        region = _two_balls(3, 2, 1)[0]
+        payload = json.loads(region.to_json())
+        assert payload["centers"] == [["e", 2], ["a1", 2]]
+        assert len(payload["vertices"]) == len(region.letters)
+        assert built == []
+        assert Word((2, 1), region.sig) in region
+        assert len(built) == 1
