@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,6 +59,7 @@ MC_CHUNK = 10_000
 _PAIRING_ATTEMPTS = 5000  # stub pairings tried before random_regular_graph gives up
 _ENUM_BLOCK = 4096  # configurations per block of exact enumeration; bounds its memory
 _KNOWN_LABELINGS = 1 << 16  # ball labelings whose rule output is kept; bounds that memory
+_LEVEL_BLOCK = 1024  # ball centres or cycle paths per block of the graph kernels; bounds memory
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +496,12 @@ def mc_joint(
 @dataclass(frozen=True)
 class FiniteGraphInstance:
     """A finite graph for running local algorithms (d-regular when built
-    by the configuration model; tree balls have leaves of smaller degree)."""
+    by the configuration model; tree balls have leaves of smaller degree).
+
+    The graph is validated on its neighbour rows, an (n x max degree)
+    array holding row v's neighbours in adjacency order, padded with -1
+    where v has fewer; the rows are built once and kept, and the ball
+    table and the short-cycle count read them."""
 
     n: int
     d: int
@@ -505,13 +511,10 @@ class FiniteGraphInstance:
     def __post_init__(self):
         if len(self.adjacency) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        degrees = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.n)
-        tails = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
-        heads = np.fromiter(
-            (w for nbrs in self.adjacency for w in nbrs), dtype=np.int64, count=len(tails)
-        )
-        if np.any((heads < 0) | (heads >= self.n)):
-            raise ValueError("adjacency names a vertex outside 0..n-1")
+        rows = self._rows
+        real = rows >= 0
+        tails = np.broadcast_to(np.arange(self.n, dtype=np.int64)[:, None], rows.shape)[real]
+        heads = rows[real].astype(np.int64)
         if np.any(heads == tails):
             raise ValueError("adjacency has a self-loop")
         edges = np.sort(tails * self.n + heads)
@@ -519,6 +522,18 @@ class FiniteGraphInstance:
             raise ValueError("adjacency repeats a neighbour")
         if not np.array_equal(edges, np.sort(heads * self.n + tails)):
             raise ValueError("adjacency has a one-sided edge")
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        degrees = np.fromiter(map(len, self.adjacency), dtype=np.intp, count=self.n)
+        heads = np.fromiter(
+            chain.from_iterable(self.adjacency), dtype=np.intp, count=int(degrees.sum())
+        )
+        if np.any((heads < 0) | (heads >= self.n)):
+            raise ValueError("adjacency names a vertex outside 0..n-1")
+        rows = np.full((self.n, int(degrees.max(initial=0))), -1, dtype=np.intp)
+        rows[np.arange(rows.shape[1]) < degrees[:, None]] = heads
+        return rows
 
     def edges(self) -> list[tuple[int, int]]:
         return [
@@ -530,7 +545,11 @@ class FiniteGraphInstance:
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> FiniteGraphInstance:
-    """Uniform pairing of stubs, resampled until the result is simple."""
+    """Uniform pairing of stubs, resampled until the result is simple.
+
+    Each pair gives two directed keys tail*n + head; one sort of them
+    finds a repeated edge as equal neighbours and, once the pairing is
+    simple, lists every vertex's d neighbours in increasing order."""
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     if n <= d:
@@ -543,18 +562,11 @@ def random_regular_graph(n: int, d: int, seed: int) -> FiniteGraphInstance:
         b = perm[1::2]
         if np.any(a == b):
             continue
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        keys = lo.astype(np.int64) * n + hi
-        if len(np.unique(keys)) != len(keys):
+        keys = np.sort(np.concatenate((a * n + b, b * n + a)))
+        if np.any(keys[1:] == keys[:-1]):
             continue
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(lo.tolist(), hi.tolist()):
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        return FiniteGraphInstance(
-            n, d, tuple(tuple(sorted(ns)) for ns in adjacency), seed
-        )
+        rows = (keys % n).reshape(n, d)
+        return FiniteGraphInstance(n, d, tuple(map(tuple, rows.tolist())), seed)
     raise LocalAlgorithmError(
         f"no simple d-regular pairing found in {_PAIRING_ATTEMPTS} attempts"
     )
@@ -571,30 +583,33 @@ def short_cycle_count(G: FiniteGraphInstance, max_length: int = 6) -> int:
     simple graph ``G``.
 
     Each cycle is walked from its smallest vertex through larger vertices
-    only, once in each direction, by a depth-first search cut at
-    ``max_length`` vertices.
+    only, once in each direction.  The walks are grown as arrays of
+    paths, one column per step, in blocks of at most ``_LEVEL_BLOCK``
+    paths taken deepest first, so memory stays bounded however many
+    paths a dense graph has; a path of three or more vertices whose last
+    vertex neighbours its root closes one walk.
     """
     if max_length < 0:
         raise ValueError(f"length bound must be non-negative, got {max_length}")
-    adjacency = G.adjacency
+    rows = G._rows
+    stack = _blocks(np.arange(G.n, dtype=np.intp)[:, None])
     walks = 0
-    for root in range(G.n):
-        path = [root]
-        on_path = {root}
-        branches = [iter(adjacency[root])]
-        while branches:
-            for w in branches[-1]:
-                if w == root:
-                    walks += len(path) >= 3
-                elif w > root and w not in on_path and len(path) < max_length:
-                    path.append(w)
-                    on_path.add(w)
-                    branches.append(iter(adjacency[w]))
-                    break
-            else:
-                branches.pop()
-                on_path.discard(path.pop())
+    while stack:
+        paths = stack.pop()
+        steps = rows[paths[:, -1]]
+        roots = paths[:, :1]
+        if paths.shape[1] >= 3:
+            walks += int(np.count_nonzero(steps == roots))
+        if paths.shape[1] < max_length:
+            on_path = (steps[:, :, None] == paths[:, None, 1:]).any(axis=2)
+            path, slot = np.nonzero((steps > roots) & ~on_path)
+            stack += _blocks(np.column_stack((paths[path], steps[path, slot])))
     return walks // 2
+
+
+def _blocks(items: np.ndarray) -> list[np.ndarray]:
+    """``items`` cut into consecutive blocks of at most ``_LEVEL_BLOCK``."""
+    return [items[i:i + _LEVEL_BLOCK] for i in range(0, len(items), _LEVEL_BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -630,24 +645,61 @@ def _balls(G: FiniteGraphInstance, radius: int) -> tuple[np.ndarray, np.ndarray,
     """The closed ball of radius ``radius`` around every vertex, as CSR
     arrays: ball v is ``indices[indptr[v]:indptr[v + 1]]``, listed
     breadth-first in adjacency order starting with v, and ``depth`` holds
-    each entry's distance from v."""
-    indices: list[int] = []
-    depth: list[int] = []
+    each entry's distance from v.
+
+    The balls are grown a level at a time on the graph's neighbour rows,
+    for blocks of ``_LEVEL_BLOCK`` centres.  Each entry of a level is
+    keyed centre*n + vertex; expanding the level lists its neighbours in
+    frontier order, and the next level keeps the first occurrence of each
+    key that the two levels before do not hold (a neighbour of a vertex at
+    distance l is at distance l-1, l or l+1).  A stable sort by centre
+    then lists each ball level after level.
+    """
+    blocks = [_ball_block(G._rows, centres, radius)
+              for centres in _blocks(np.arange(G.n, dtype=np.intp))]
     indptr = np.zeros(G.n + 1, dtype=np.intp)
-    for v in range(G.n):
-        ball, level, seen = [v], [0], {v}
-        for i, x in enumerate(ball):  # the list grows while it is read: breadth-first
-            if level[i] == radius:
-                break
-            for w in G.adjacency[x]:
-                if w not in seen:
-                    seen.add(w)
-                    ball.append(w)
-                    level.append(level[i] + 1)
-        indices += ball
-        depth += level
-        indptr[v + 1] = len(indices)
-    return indptr, np.asarray(indices, dtype=np.intp), np.asarray(depth, dtype=np.intp)
+    if not blocks:
+        return indptr, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    sizes, indices, depth = (np.concatenate(part) for part in zip(*blocks))
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr, indices, depth
+
+
+def _ball_block(
+    rows: np.ndarray, centres: np.ndarray, radius: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_balls`` for one block of consecutive centres: ball sizes, and
+    the entries and depths of the balls in centre order."""
+    n = len(rows)
+    owner, vertex = centres, centres
+    levels = [(owner, vertex)]
+    held = [np.zeros(0, dtype=np.int64), centres.astype(np.int64) * (n + 1)]
+    for _ in range(radius):
+        owner = np.repeat(owner, rows.shape[1])
+        vertex = rows[vertex].ravel()
+        real = vertex >= 0
+        owner, vertex = owner[real], vertex[real]
+        # Held keys go first: after a stable sort, a run of equal keys starts
+        # with the held copy if there is one, else with the first occurrence.
+        keys = np.concatenate(held + [owner.astype(np.int64) * n + vertex])
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        held_count = len(keys) - len(owner)
+        first &= order >= held_count
+        keep = np.zeros(len(owner), dtype=bool)
+        keep[order[first] - held_count] = True
+        owner, vertex = owner[keep], vertex[keep]
+        held = [held[1], sorted_keys[first]]
+        if not len(owner):
+            break
+        levels.append((owner, vertex))
+    owners = np.concatenate([o for o, _ in levels])
+    order = np.argsort(owners, kind="stable")
+    depth = np.repeat(np.arange(len(levels), dtype=np.intp), [len(o) for o, _ in levels])
+    sizes = np.bincount(owners - centres[0], minlength=len(centres)).astype(np.intp)
+    return sizes, np.concatenate([v for _, v in levels])[order], depth[order]
 
 
 def _ball_sums(entries: np.ndarray, indptr: np.ndarray) -> np.ndarray:

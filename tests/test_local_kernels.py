@@ -1,7 +1,11 @@
 """The local-algorithm kernels against the slow oracles they replaced.
 
 ``short_cycle_count`` is checked against networkx's bounded
-``simple_cycles``.  The sparse phase, which runs each round as array
+``simple_cycles`` and against ``reference_short_cycle_count``, the
+depth-first search that the blocked path arrays replaced.  The ball
+table and the cycle count run in blocks of ``_LEVEL_BLOCK`` centres or
+paths; both are checked again with a block of 7, so that every graph
+spans several blocks.  The sparse phase, which runs each round as array
 operations on precomputed balls, is checked against a per-vertex
 breadth-first search over the same rank draws: labels, colors and round
 counts must be identical, because both consume the same draws.  The ball
@@ -14,11 +18,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from treefactor import processes
 from treefactor.errors import InvariantError
 from treefactor.processes import (
     FiniteGraphInstance,
@@ -84,6 +90,44 @@ CYCLE_GRAPHS = (
 )
 
 
+def reference_short_cycle_count(G, max_length=6):
+    """Each cycle walked from its smallest vertex through larger vertices
+    only, once in each direction, by a depth-first search cut at
+    ``max_length`` vertices."""
+    walks = 0
+    for root in range(G.n):
+        path = [root]
+        on_path = {root}
+        branches = [iter(G.adjacency[root])]
+        while branches:
+            for w in branches[-1]:
+                if w == root:
+                    walks += len(path) >= 3
+                elif w > root and w not in on_path and len(path) < max_length:
+                    path.append(w)
+                    on_path.add(w)
+                    branches.append(iter(G.adjacency[w]))
+                    break
+            else:
+                branches.pop()
+                on_path.discard(path.pop())
+    return walks // 2
+
+
+def circulant(n, offsets):
+    """The circulant graph joining v to v +- s (mod n) for each offset s."""
+    return FiniteGraphInstance(
+        n, 2 * len(offsets),
+        tuple(tuple(sorted((v + sign * s) % n for s in offsets for sign in (1, -1)))
+              for v in range(n)),
+    )
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(processes, "_LEVEL_BLOCK", 7)
+
+
 class TestGraphValidation:
     def test_triangle_with_a_doubled_edge_is_rejected(self):
         with pytest.raises(ValueError, match="repeats a neighbour"):
@@ -139,6 +183,50 @@ class TestShortCycleCount:
         G = random_regular_graph(10, 3, seed=3)
         for b in (0, 1, 2):
             assert short_cycle_count(G, b) == 0 == nx_count(G, b)
+
+    @pytest.mark.parametrize("n,d,seed", [(n, d, seed) for n, d in (
+        (10, 3), (50, 3), (200, 3), (10, 4), (50, 4), (100, 4), (10, 5), (30, 5), (60, 5)
+    ) for seed in (0, 1, 2)])
+    def test_matches_the_depth_first_search(self, n, d, seed):
+        G = random_regular_graph(n, d, seed)
+        for b in range(9):
+            assert short_cycle_count(G, b) == reference_short_cycle_count(G, b)
+
+    def test_depth_first_search_agrees_on_the_small_graphs(self):
+        K4 = random_regular_graph(4, 3, seed=0)
+        empty = FiniteGraphInstance(0, 3, ())
+        tree = tree_ball_graph(3, 4)
+        for b in range(9):
+            assert reference_short_cycle_count(K4, b) == short_cycle_count(K4, b) == [
+                0, 0, 0, 4, 7, 7, 7, 7, 7][b]
+            assert reference_short_cycle_count(empty, b) == short_cycle_count(empty, b) == 0
+            assert reference_short_cycle_count(tree, b) == short_cycle_count(tree, b) == 0
+
+    @pytest.mark.parametrize("n,d,seed", [(50, 3, 0), (200, 3, 1), (50, 4, 2), (30, 5, 0)])
+    def test_small_blocks_keep_the_counts(self, small_blocks, n, d, seed):
+        G = random_regular_graph(n, d, seed)
+        assert [short_cycle_count(G, b) for b in range(MAX_BOUND + 1)] == nx_counts_up_to(
+            G, MAX_BOUND
+        )
+
+    def test_dense_graph_fills_several_blocks(self):
+        # 8-regular, with 146,400 cycles of length <= 6 as counted by
+        # reference_short_cycle_count; grown unblocked, its paths took
+        # about 210 MB at their peak.
+        G = circulant(400, (1, 2, 3, 4))
+        tracemalloc.start()
+        try:
+            count = short_cycle_count(G, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 146_400
+        assert peak < 8 * 2**20
+
+    def test_dense_graph_matches_the_depth_first_search(self, small_blocks):
+        G = circulant(40, (1, 2, 3, 4))
+        for b in range(7):
+            assert short_cycle_count(G, b) == reference_short_cycle_count(G, b)
 
     def test_negative_bound_rejected_like_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -363,18 +451,42 @@ class TestBallTable:
                     G, colors, L
                 )
 
+    @pytest.mark.parametrize("graph", ["rrg200", "tree_ball_3_4"])
+    def test_small_blocks_keep_the_table(self, small_blocks, graph):
+        nx = pytest.importorskip("networkx")
+        G = {**GRAPHS, **TABLE_GRAPHS}[graph]()
+        graph_nx = nx_graph(G)
+        for radius in range(5):
+            indptr, indices, depth = _balls(G, radius)
+            assert len(indptr) == G.n + 1
+            for v in range(G.n):
+                ball = indices[indptr[v]:indptr[v + 1]].tolist()
+                assert ball == reference_level_order(G, v, radius)
+                assert dict(zip(ball, depth[indptr[v]:indptr[v + 1]].tolist())) == (
+                    nx.single_source_shortest_path_length(graph_nx, v, cutoff=radius)
+                )
+
+    def test_tree_ball_rows_are_padded(self):
+        G = tree_ball_graph(3, 4)
+        rows = G._rows
+        assert rows.shape == (G.n, 3)
+        for v, nbrs in enumerate(G.adjacency):
+            assert rows[v].tolist() == list(nbrs) + [-1] * (3 - len(nbrs))
+
     def test_empty_graph_passes_both_checks(self):
         G = FiniteGraphInstance(0, 3, ())
         assert check_sparse_set(G, [], 2) == (True, True)
         assert check_sparse_coloring(G, [], 2) is True
 
 
-def test_sparse_cli_does_not_load_networkx():
+def _sparse_cli_modules(*names):
+    """Run ``treefactor sparse`` in a fresh interpreter; its exit code and
+    whether each named module was loaded."""
     script = (
         "import json, sys\n"
         "from treefactor.cli import main\n"
         "code = main(['sparse', '--n', '200', '--d', '3', '--L', '2', '--seed', '1'])\n"
-        "print(json.dumps([code, 'networkx' in sys.modules]))\n"
+        f"print(json.dumps([code] + [name in sys.modules for name in {list(names)!r}]))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
@@ -383,6 +495,13 @@ def test_sparse_cli_does_not_load_networkx():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    code, networkx_loaded = json.loads(done.stdout.strip().splitlines()[-1])
-    assert code == 0
-    assert not networkx_loaded
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_sparse_cli_does_not_load_networkx():
+    assert _sparse_cli_modules("networkx") == [0, False]
+
+
+def test_sparse_cli_does_not_load_numpy_ma():
+    # numpy 2's np.unique without return_inverse imports numpy.ma on first use.
+    assert _sparse_cli_modules("numpy.ma") == [0, False]
