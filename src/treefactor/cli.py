@@ -149,7 +149,9 @@ def cmd_generators(args) -> int:
         f"certificate {certificate}",
     ]
     _emit([row], lines, list(row.keys()), args)
-    certified = certificate.verdict == "PASS" and report.passed and report.complete
+    # A complete certificate proves the laws for every n, so a bounded search
+    # that ran out of budget before finding a counterexample does not veto it.
+    certified = certificate.verdict == "PASS" and report.passed
     return EXIT_OK if certified else EXIT_VERDICT_FAILED
 
 

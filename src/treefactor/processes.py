@@ -3,17 +3,20 @@ machinery to measure the joint law of two vertices at distance k.
 
 Local rules are functions of *canonicalized* labeled rooted balls, which
 makes them invariant under root-preserving automorphisms by construction.
-A rule runs once per distinct labeling of its ball that a measurement
-meets.  Measurements come from seeded Monte Carlo, or, where the |A|^|B_R|
-labelings of one ball are affordable, from exact enumeration conditioned
-on the labels of the vertices the two balls share; both go through the
-same evaluation of the rule, keyed by each ball labeling's mixed-radix
-code.  Monte Carlo labels are the uniforms ``Generator.choice`` would draw,
-thresholded at the cumulative input law, and one integer product gives the
-codes of both balls; small balls look the rule's outputs up in a dense
-table indexed by code, and only balls whose codes do not fit in int64 key
-their labelings by raw label bytes.  Measurements work on the letter tuples
-of the region and build no ``Word``.
+Every rule call goes through ``_rule_outputs``, which maps rows of label
+indices to output indices.  Exact enumeration, affordable where the
+|A|^|B_R| labelings of one ball are, meets each labeling once, in
+mixed-radix code order, and conditions on the labels of the vertices the
+two balls share.  Seeded Monte Carlo runs the rule once per distinct
+labeling that the draws meet (``_ball_outputs``): balls with at most
+``_KNOWN_LABELINGS`` labelings key a labeling by its code, one integer
+product of the labels giving the codes of both balls, and look the rule's
+outputs up in a dense table indexed by code; larger balls key it by its
+raw label bytes.  Block-rule labels are the uniforms ``Generator.choice``
+would draw, thresholded at the cumulative input law.  Block rules and the
+Gaussian sign process draw their samples through one loop,
+``_sampled_joint``, over one counter-based stream per seed.  Measurements
+work on the letter tuples of the region and build no ``Word``.
 """
 
 from __future__ import annotations
@@ -277,85 +280,94 @@ def _two_balls(d: int, radius: int, k: int) -> tuple[BallRegion, list[int], list
     return region, ball_u, ball_v, shape
 
 
-def _place_values(n_values: int, size: int) -> Optional[np.ndarray]:
+def _place_values(n_values: int, size: int) -> np.ndarray:
     """The int64 place value of each ball position in a labeling's
-    mixed-radix code Σ label·|A|^(size-1-position), or None when the codes
-    of ``size`` positions do not fit in int64."""
-    if n_values**size > np.iinfo(np.int64).max:
-        return None
+    mixed-radix code Σ label·|A|^(size-1-position), for balls whose codes
+    fit in int64."""
     return n_values ** np.arange(size - 1, -1, -1, dtype=np.int64)
 
 
-def _row_keys(labels: np.ndarray) -> np.ndarray:
-    """Each row of int64 label indices as one raw-bytes key."""
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    return labels.view(np.dtype((np.void, labels.strides[0]))).ravel()
+def _rule_outputs(rule: BlockFactorRule, shape: tuple, rows: np.ndarray) -> np.ndarray:
+    """The index of the rule's output on each row of label indices, a ball
+    labeling in the breadth-first order of ``shape``: one rule call per row."""
+    out_index = {val: i for i, val in enumerate(rule.output_values)}
+    labelings = ([rule.input_values[i] for i in row] for row in rows.tolist())
+    outs = [out_index[rule.fn(canonical_ball_code(labels, 0, shape))] for labels in labelings]
+    return np.array(outs, dtype=np.int64)
 
 
-def _ball_outputs(rule: BlockFactorRule, shape: tuple) -> Callable[[np.ndarray], np.ndarray]:
-    """The function that maps keys of ball labelings, in the breadth-first
-    order of ``shape``, to the index of the rule's output.
+def _ball_outputs(rule: BlockFactorRule, shape: tuple, balls: Sequence) -> Callable:
+    """The function that maps a (samples, region vertices) matrix of label
+    indices to the (samples, len(balls)) indices of the rule's output on
+    each ball: the region indices of its positions in the order of
+    ``shape``.  The balls cover the region.  Outputs are kept across calls,
+    so the rule runs once per distinct labeling, whatever the ball size.
 
-    A labeling's key is its mixed-radix code (``_place_values``).  Only a
-    ball whose codes do not fit in int64 keys a labeling by its row of label
-    indices as raw bytes (``_row_keys``).  Every ball has the same shape, so
-    one evaluation of the rule serves the balls at u and at v alike.  Only
-    keys not seen before are decoded into labels, in one array operation,
-    and run through the rule, once per distinct key; outputs are kept across
-    calls, so a measurement builds at most min(keys, |A|^|B_R|) canonical
-    codes, whatever the ball size.
-
-    A ball with at most ``_KNOWN_LABELINGS`` labelings keeps the outputs in
-    a dense int64 table indexed by code, -1 where not yet evaluated: a call
-    whose codes are all in the table is one gather, with no ``np.unique``.
-    Larger balls make their keys unique per call and look them up in a
-    store that starts afresh past ``_KNOWN_LABELINGS`` outputs, so balls
-    whose labelings seldom repeat cost no more memory than small ones.
+    The key of a labeling is chosen here, once.  A ball with at most
+    ``_KNOWN_LABELINGS`` labelings is keyed by its mixed-radix code, one
+    int64 product of the labels with ``placement`` giving the codes of
+    every ball, and a dense table indexed by code holds the outputs, -1
+    where not yet evaluated: a call whose labelings are all known is one
+    gather.  Larger balls are keyed by their label rows as raw bytes, made
+    unique per call and looked up in a store that starts afresh past
+    ``_KNOWN_LABELINGS`` outputs, so its memory stays bounded.
     """
     n_values = len(rule.input_values)
-    out_index = {val: i for i, val in enumerate(rule.output_values)}
-    place = _place_values(n_values, len(shape))
+    n_labelings = n_values ** len(shape)
+    if n_labelings <= _KNOWN_LABELINGS:
+        place = _place_values(n_values, len(shape))
+        # Column j holds each position's place value at its vertex in ball j.
+        placement = np.zeros((1 + max(map(max, balls)), len(balls)), dtype=np.int64)
+        for column, ball in enumerate(balls):
+            placement[ball, column] = place
+        table = np.full(n_labelings, -1, dtype=np.int64)
 
-    def evaluate(keys: np.ndarray) -> list[int]:
-        if place is None:
-            rows = keys.view(np.int64).reshape(len(keys), len(shape))
-        else:
-            rows = keys[:, None] // place % n_values
-        outs = []
-        for row in rows.tolist():
-            ball_labels = [rule.input_values[i] for i in row]
-            outs.append(out_index[rule.fn(canonical_ball_code(ball_labels, 0, shape))])
-        return outs
-
-    if place is not None and n_values ** len(shape) <= _KNOWN_LABELINGS:
-        table = np.full(n_values ** len(shape), -1, dtype=np.int64)
-
-        def outputs(codes: np.ndarray) -> np.ndarray:
+        def outputs(labels: np.ndarray) -> np.ndarray:
+            codes = labels @ placement
             out = table[codes]
             missing = out < 0
             if missing.any():
                 # The distinct missing codes in order, from a count over the table's range.
-                new = np.flatnonzero(np.bincount(codes[missing], minlength=len(table)))
-                table[new] = evaluate(new)
+                new = np.flatnonzero(np.bincount(codes[missing], minlength=n_labelings))
+                table[new] = _rule_outputs(rule, shape, new[:, None] // place % n_values)
                 out = table[codes]
             return out
 
         return outputs
 
-    known: dict = {}  # labeling key -> index of the rule's output
+    positions = np.array(balls, dtype=np.intp)
+    index_type = np.min_scalar_type(n_values - 1)  # the narrowest key bytes
+    known: dict = {}  # raw bytes of a labeling -> index of the rule's output
 
-    def outputs(keys: np.ndarray) -> np.ndarray:
+    def outputs(labels: np.ndarray) -> np.ndarray:
         if len(known) > _KNOWN_LABELINGS:
             known.clear()
+        rows = np.ascontiguousarray(labels[:, positions], dtype=index_type).reshape(-1, len(shape))
+        keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
         unique, inverse = np.unique(keys, return_inverse=True)
         unique_keys = unique.tolist()
         found = np.fromiter((known.get(key, -1) for key in unique_keys), np.int64, len(unique_keys))
         new = np.flatnonzero(found < 0)
-        found[new] = evaluate(unique[new])
+        found[new] = _rule_outputs(rule, shape, unique[new].view(index_type).reshape(-1, len(shape)))
         known.update(zip((unique_keys[j] for j in new.tolist()), found[new].tolist()))
-        return found[inverse]
+        return found[inverse].reshape(len(labels), len(balls))
 
     return outputs
+
+
+def _sampled_joint(seed: int, samples: int, m: int, draw: Callable) -> JointDistribution:
+    """The empirical joint of ``samples`` pairs of output indices in
+    0..m-1, drawn in chunks of at most ``MC_CHUNK`` from one counter-based
+    stream keyed by the seed: ``draw(rng, chunk)`` returns a (chunk, 2)
+    array of the pairs (X_u, X_v)."""
+    if samples < 1:
+        raise ValueError(f"Monte Carlo needs samples >= 1, got {samples}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    counts = np.zeros(m * m, dtype=np.int64)
+    for start in range(0, samples, MC_CHUNK):
+        pairs = draw(rng, min(MC_CHUNK, samples - start))
+        counts += np.bincount(pairs[:, 0] * m + pairs[:, 1], minlength=m * m)
+    return joint_from_counts(counts.reshape(m, m), seed)
 
 
 def exact_joint(
@@ -369,10 +381,12 @@ def exact_joint(
 
     Given the labels on I, X_u and X_v are independent, so the joint is
     Σ_I p(I) · P_u(·|I) ⊗ P_v(·|I).  The |A|^|B_R| labelings of one ball are
-    enumerated once, in ``_ENUM_BLOCK`` blocks, and the rule runs once per
-    labeling.  Each labeling is binned twice, as the ball at u and as the
-    ball at v, by its labels on I and weighted by the product over that
-    ball's private vertices only.  ``budget`` bounds |A|^|B_R|.
+    enumerated once, by mixed-radix code in ``_ENUM_BLOCK`` blocks, and the
+    rule runs once per labeling (``_rule_outputs``); each labeling is met
+    exactly once, so no output is kept.  Each labeling is binned twice, as
+    the ball at u and as the ball at v, by its labels on I and weighted by
+    the product over that ball's private vertices only.  ``budget`` bounds
+    |A|^|B_R|; codes past int64 are refused whatever the budget.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -383,6 +397,11 @@ def exact_joint(
         raise BudgetExceededError(
             f"{total} label configurations exceed the budget of {budget}; "
             "use mc_joint for a sampled estimate"
+        )
+    if total > np.iinfo(np.int64).max:
+        raise BudgetExceededError(
+            f"exact enumeration numbers the labelings of a ball by int64 codes, and its "
+            f"{total} labelings do not fit in int64; use mc_joint for a sampled estimate"
         )
     m = len(rule.output_values)
     probs = np.asarray(rule.input_probs, dtype=float)
@@ -398,13 +417,12 @@ def exact_joint(
                 i_place[position] = n_values ** (len(slot) - 1 - slot[x])
         i_places.append(i_place)
         privates.append(np.flatnonzero(i_place == 0))
-    outputs = _ball_outputs(rule, shape)
     place = _place_values(n_values, len(shape))
     conditional = np.zeros((2, n_shared * m), dtype=float)  # rows: u, v
     for start in range(0, total, _ENUM_BLOCK):
         codes = np.arange(start, min(start + _ENUM_BLOCK, total), dtype=np.int64)
         digits = codes[:, None] // place % n_values  # in itertools.product order
-        out = outputs(codes)
+        out = _rule_outputs(rule, shape, digits)
         for row, i_place, private in zip(conditional, i_places, privates):
             weights = np.prod(probs[digits[:, private]], axis=1)
             row += np.bincount(digits @ i_place * m + out, weights=weights, minlength=n_shared * m)
@@ -437,51 +455,27 @@ def mc_joint(
     seed: int,
 ) -> ProcessMeasurement:
     """Sampled joint law of (X_u, X_v): each replica draws fresh labels on
-    the union region from a counter-based stream keyed by the seed.
+    the union region from the counter-based stream of ``_sampled_joint``.
 
     The labels are the ones ``Generator.choice`` would draw from the rule's
     input law: one uniform per region vertex, thresholded at the cumulative
-    law normalised as ``choice`` normalises it.  One int64 product of the
-    labels with ``placement`` gives both balls' mixed-radix codes; only
-    balls whose codes do not fit in int64 gather their label rows instead.
+    law normalised as ``choice`` normalises it.  ``_ball_outputs`` maps
+    each chunk of labels to the outputs at u and at v.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     region, ball_u, ball_v, shape = _two_balls(d, rule.radius, k)
     n_vertices = len(region.letters)
-    outputs = _ball_outputs(rule, shape)
+    outputs = _ball_outputs(rule, shape, (ball_u, ball_v))
     cdf = np.asarray(rule.input_probs, dtype=float).cumsum()
     cdf /= cdf[-1]  # as Generator.choice does: the law may not sum to exactly 1
-    place = _place_values(len(rule.input_values), len(shape))
-    if place is None:
 
-        def keys_of(labels: np.ndarray) -> np.ndarray:
-            return np.stack([_row_keys(labels[:, ball_u]), _row_keys(labels[:, ball_v])], axis=1)
-
-    else:
-        # Column 0 holds each position's place value at its vertex in the
-        # ball at u, column 1 the same in the ball at v.
-        placement = np.zeros((n_vertices, 2), dtype=np.int64)
-        placement[ball_u, 0] = place
-        placement[ball_v, 1] = place
-
-        def keys_of(labels: np.ndarray) -> np.ndarray:
-            return labels @ placement
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    m = len(rule.output_values)
-    counts = np.zeros(m * m, dtype=np.int64)
-    remaining = samples
-    while remaining > 0:
-        chunk = min(MC_CHUNK, remaining)
+    def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
         uniforms = rng.random((chunk, n_vertices))
         labels = np.zeros((chunk, n_vertices), dtype=np.int64)
         for threshold in cdf[:-1]:
             labels += uniforms >= threshold
-        out = outputs(keys_of(labels).ravel())
-        counts += np.bincount(out[0::2] * m + out[1::2], minlength=m * m)
-        remaining -= chunk
-    J = joint_from_counts(counts.reshape(m, m), seed)
+        return outputs(labels)
+
+    J = _sampled_joint(seed, samples, len(rule.output_values), draw)
     values = _numeric_values(rule.output_values)
     return measurement_from_joint(
         d, k, J, values, values, "monte-carlo", samples=samples, seed=seed, region=region
@@ -534,14 +528,6 @@ class FiniteGraphInstance:
         rows = np.full((self.n, int(degrees.max(initial=0))), -1, dtype=np.intp)
         rows[np.arange(rows.shape[1]) < degrees[:, None]] = heads
         return rows
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v)
-            for u, nbrs in enumerate(self.adjacency)
-            for v in nbrs
-            if u < v
-        ]
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> FiniteGraphInstance:
@@ -1161,31 +1147,27 @@ def gaussian_sign_measure(
     through a lower-triangular factor of it.  The pair has the law of the
     truncated linear factor, and the Monte Carlo path shares nothing with
     the class sums of the arcsine/binary-MI closed form beyond the
-    coefficient definitions.
+    coefficient definitions.  The pairs come from the chunked stream of
+    ``_sampled_joint``, the one that block-rule Monte Carlo draws from.
     """
     law = _sign_law(spec, k)
     J = symmetric_binary_joint(law["q"])
     if samples == 0:
         pm = measurement_from_joint(spec.d, k, J, (1.0, -1.0), (1.0, -1.0), "closed-form")
         return replace(pm, extra=_sign_extra(law, pm.mi.value))
-    if samples < 1:
-        raise ValueError("samples must be >= 0")
     if seed is None:
         raise ValueError("Monte Carlo requires a seed")
     region, w_u, w_v = _sign_pair_weights(spec, k)
     factor_t = _pair_factor(w_u, w_v).T
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = np.zeros(4, dtype=np.int64)
-    remaining = samples
-    while remaining > 0:
-        chunk = min(MC_CHUNK, remaining)
-        negative = (rng.standard_normal((chunk, 2)) @ factor_t < 0).astype(np.int64)
-        counts += np.bincount(2 * negative[:, 0] + negative[:, 1], minlength=4)  # sign(0) is +1
-        remaining -= chunk
+
+    def draw(rng: np.random.Generator, chunk: int) -> np.ndarray:
+        # Output index 1 is the sign -1; sign(0) is +1.
+        return (rng.standard_normal((chunk, 2)) @ factor_t < 0).astype(np.int64)
+
     return measurement_from_joint(
         spec.d,
         k,
-        joint_from_counts(counts.reshape(2, 2), seed),
+        _sampled_joint(seed, samples, 2, draw),
         (1.0, -1.0),
         (1.0, -1.0),
         "monte-carlo",

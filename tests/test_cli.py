@@ -65,6 +65,23 @@ class TestGenerators:
         assert code == EXIT_VERDICT_FAILED
         assert "INCOMPLETE" in out
 
+    def test_complete_certificate_is_not_vetoed_by_the_bounded_search(self, capsys):
+        # The certificate needs 396 transitions, the search at n <= 3 1,596 sequences.
+        code, out, _ = run(capsys, "--format", "json", "generators", "--d", "4", "--k", "3",
+                           "--nmax", "3", "--budget", "1000")
+        row = json.loads(out)["rows"][0]
+        assert (row["certificate"], row["free_claim"], row["complete"]) == ("PASS", "PASS", False)
+        assert code == EXIT_OK
+
+    def test_counterexample_of_the_bounded_search_is_a_failed_verdict(self, capsys, monkeypatch):
+        real = cli.verify_free_claim
+        monkeypatch.setattr(cli, "verify_free_claim", lambda gs, n_max, budget: dataclasses.replace(
+            real(gs, n_max, budget=budget), passed=False))
+        code, out, _ = run(capsys, "--format", "json", "generators", "--d", "3", "--k", "2")
+        row = json.loads(out)["rows"][0]
+        assert (row["certificate"], row["free_claim"]) == ("PASS", "FAIL")
+        assert code == EXIT_VERDICT_FAILED
+
     def test_reports_the_certificate(self, capsys):
         code, out, _ = run(capsys, "generators", "--d", "4", "--k", "3", "--nmax", "3")
         assert code == EXIT_OK
@@ -559,6 +576,23 @@ class TestEnumerationBudget:
         assert out == ""
         assert f"{2**19} label configurations exceed the budget of {2**18}" in err
         assert "use mc_joint" in err
+
+    # A majority ball at d=70 has 2^71 labelings: within this budget, past int64.
+    PAST_INT64 = ("measure", "--process", "majority", "--d", "70", "--k", "1",
+                  "--budget", "99999999999999999999999")
+
+    def test_exact_method_past_int64_fails_with_a_message(self, capsys):
+        code, out, err = run(capsys, *self.PAST_INT64, "--method", "exact")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("treefactor: error: ") and "do not fit in int64" in err
+        assert "budget" not in err
+
+    def test_auto_method_past_int64_falls_back_to_monte_carlo(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", *self.PAST_INT64, "--method", "auto",
+                           "--samples", "200")
+        assert code == EXIT_OK
+        assert [r["method"] for r in json.loads(out)["rows"]] == ["monte-carlo"]
 
     @pytest.mark.parametrize("method", ["exact", "auto"])
     def test_verifier_budget_env_var_does_not_reach_measure(self, capsys, monkeypatch, method):

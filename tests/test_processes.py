@@ -292,8 +292,9 @@ class TestSparseColoring:
     def test_distance_one_is_proper_coloring(self):
         G = random_regular_graph(200, 3, seed=21)
         res = sparse_coloring(G, 1, seed=22)
-        for u, v in G.edges():
-            assert res.colors[u] != res.colors[v]
+        for u, nbrs in enumerate(G.adjacency):
+            for v in nbrs:
+                assert res.colors[u] != res.colors[v]
         assert res.color_count <= 4  # ball_size(3, 1)
 
     def test_color_cap_and_separation(self):

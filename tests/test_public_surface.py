@@ -4,8 +4,8 @@ caller outside the tests.
 A module-level function or class whose name does not start with ``_`` must
 be referenced by name from another library module, from its own module's
 code outside its definition, or from a ``bench/*.py`` script.  So must each
-public method or property of such a class, which is referenced as an
-attribute.  Imports in `__init__.py` do not count: re-exporting a name does
+public method or property of such a class, and for those only an attribute
+read counts: a local variable of the same name calls nothing.  Imports in `__init__.py` do not count: re-exporting a name does
 not call it.  The names in ``KEPT`` are the only exceptions.
 """
 
@@ -18,7 +18,7 @@ LIBRARY = Path(treefactor.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 KEPT = {
-    "correlation_bound": "the paper's correlation bound; ROADMAP item 3 gives it a caller",
+    "correlation_bound": "the paper's correlation bound; ROADMAP item 4 gives it a caller",
     "joint_entropy": "named view of Estimates that the tests read through",
     "mutual_information": "named view of Estimates that the tests read through",
     "conditional_entropy": "named view of Estimates that the tests read through",
@@ -34,29 +34,34 @@ KEPT = {
 
 
 def _referenced(nodes) -> set[str]:
-    """Names read, attributes looked up and names imported among ``nodes``."""
+    """Names read, attributes looked up and names imported among ``nodes``;
+    an attribute read ``obj.x`` also adds ``.x``, which is how a method or
+    property is referenced."""
     names = set()
     for node in nodes:
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                names.add("." + node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
     return names
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, node) of each public top-level function and class, and of
-    each public method and property of those classes as ``Class.method``."""
+    """(name, node, the reference it needs) of each public top-level function
+    and class, and of each public method and property of those classes as
+    ``Class.method``, which needs an attribute read."""
     for defn in tree.body:
         if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or defn.name.startswith("_"):
             continue
-        yield defn.name, defn
+        yield defn.name, defn, defn.name
         if isinstance(defn, ast.ClassDef):
             for method in defn.body:
                 if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-                    yield f"{defn.name}.{method.name}", method
+                    yield f"{defn.name}.{method.name}", method, "." + method.name
 
 
 def unreferenced(modules: dict[str, ast.Module], callers: set[str]) -> list[str]:
@@ -71,10 +76,10 @@ def unreferenced(modules: dict[str, ast.Module], callers: set[str]) -> list[str]
         for other, other_nodes in nodes.items():
             if other != name:
                 others |= _referenced(other_nodes)
-        for qualified, defn in _public_definitions(tree):
+        for qualified, defn, reference in _public_definitions(tree):
             inside = {id(node) for node in ast.walk(defn)}
             own = _referenced(node for node in nodes[name] if id(node) not in inside)
-            if defn.name not in others | own:
+            if reference not in others | own:
                 found.append(f"{name}:{defn.lineno} {qualified}")
     return found
 
@@ -101,7 +106,23 @@ def test_guard_catches_a_planted_unreferenced_method():
     assert unreferenced(modules, set()) == []
     modules = {"a.py": ast.parse(source.replace("return self.planted\n\n    @", "pass\n\n    @"))}
     assert unreferenced(modules, set()) == ["a.py:6 Graph.planted"]
-    assert unreferenced(modules, {"planted"}) == []
+    assert unreferenced(modules, {".planted"}) == []
+
+
+def test_guard_ignores_a_local_variable_named_like_a_method():
+    source = (
+        "class Graph:\n"
+        "    def edges(self):\n        return []\n\n"
+        "    def degree(self):\n        return 3\n\n"
+        "def build():\n"
+        "    edges = [(0, 1)]\n    graph = Graph()\n    graph.edges = edges\n"
+        "    return graph.degree(), edges\n\n"
+        "build()\n"
+    )
+    modules = {"a.py": ast.parse(source)}
+    assert unreferenced(modules, set()) == ["a.py:2 Graph.edges"]
+    assert unreferenced(modules, {"edges"}) == ["a.py:2 Graph.edges"]
+    assert unreferenced(modules, {".edges"}) == []
 
 
 def test_every_public_name_has_a_caller():

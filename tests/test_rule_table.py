@@ -29,7 +29,7 @@ from treefactor.processes import (
     BlockFactorRule,
     _ball_outputs,
     _numeric_values,
-    _row_keys,
+    _sampled_joint,
     _two_balls,
     canonical_ball_code,
     exact_joint,
@@ -308,16 +308,14 @@ class TestExact:
 
 class TestOutputTable:
     """Balls with at most ``_KNOWN_LABELINGS`` labelings look their outputs
-    up in a dense table indexed by code, larger ones in a store of unique
-    keys; both must give every code the output of its own labeling."""
+    up in a dense table indexed by code, larger ones in a store of raw-byte
+    keys; both must give every ball labeling the output of its own labels."""
 
     def expected(self, rule, shape, codes):
         """The rule's output index for each code, one labeling at a time."""
-        n_values = len(rule.input_values)
         out = []
         for code in codes.tolist():
-            digits = [code // n_values ** (len(shape) - 1 - p) % n_values for p in range(len(shape))]
-            labels = [rule.input_values[i] for i in digits]
+            labels = [rule.input_values[i] for i in digits_of(rule, shape, code)]
             out.append(rule.output_values.index(rule.fn(canonical_ball_code(labels, 0, shape))))
         return out
 
@@ -331,8 +329,14 @@ class TestOutputTable:
         codes = rng.integers(0, n_labelings, size=3 * n_labelings)
         distinct = len(np.unique(codes))
         assert n_labelings // 2 < distinct < n_labelings
+        # Two balls side by side on a region of 2|B_R| vertices: the first
+        # reads the codes in order, the second in reverse.
+        labels = np.array([digits_of(rule, shape, c) for c in codes.tolist()])
+        labels = np.hstack([labels, labels[::-1]])
+        balls = (range(len(shape)), range(len(shape), 2 * len(shape)))
         want = self.expected(rule, shape, codes)
         assert len(set(want)) > 1
+        want = [[a, b] for a, b in zip(want, want[::-1])]
         real_unique = np.unique
         uniques = []
 
@@ -348,15 +352,15 @@ class TestOutputTable:
         for limit in (n_labelings, n_labelings - 1, distinct - 1):
             monkeypatch.setattr(processes, "_KNOWN_LABELINGS", limit)
             counted, calls = counting(rule)
-            outputs = _ball_outputs(counted, shape)
-            first = outputs(codes)
+            outputs = _ball_outputs(counted, shape, balls)
+            first = outputs(labels)
             del uniques[:]
-            second = outputs(codes)
+            second = outputs(labels)
             assert first.tolist() == second.tolist() == want, limit
             runs[limit] = (len(calls), uniques[:])
         assert runs[n_labelings] == (distinct, [])
-        assert runs[n_labelings - 1] == (distinct, [len(codes)])
-        assert runs[distinct - 1] == (2 * distinct, [len(codes)])
+        assert runs[n_labelings - 1] == (distinct, [2 * len(codes)])
+        assert runs[distinct - 1] == (2 * distinct, [2 * len(codes)])
 
     def test_table_and_store_give_the_same_counts(self, monkeypatch):
         rule = three_letter_rule(4)
@@ -397,15 +401,49 @@ class TestLargeBalls:
         rule, calls = counting(self.wide_rule())
         shape = _two_balls(7, 3, 0)[3]
         labels = np.random.default_rng(0).integers(0, 2, size=(6, len(shape)))
-        outputs = _ball_outputs(rule, shape)
-        keys = _row_keys(labels)
-        first, second = outputs(keys), outputs(keys)
-        assert first.tolist() == second.tolist() == labels[:, 0].tolist()
+        # Both balls read the same vertices, so each call meets 6 labelings twice.
+        outputs = _ball_outputs(rule, shape, (range(len(shape)), range(len(shape))))
+        first, second = outputs(labels), outputs(labels)
+        assert first.tolist() == second.tolist() == [[root, root] for root in labels[:, 0]]
         assert len(calls) == 6
 
     def test_exact_still_refuses_an_enumeration_over_budget(self):
         with pytest.raises(BudgetExceededError, match="label configurations exceed"):
             exact_joint(majority_rule(24), 24, 1)
+
+    def test_exact_refuses_codes_past_int64_whatever_the_budget(self):
+        rule, calls = counting(majority_rule(70))
+        with pytest.raises(BudgetExceededError, match="do not fit in int64") as exc:
+            exact_joint(rule, 70, 1, budget=10**23)
+        assert "budget" not in str(exc.value)
+        assert calls == []
+
+
+class TestSampledJoint:
+    """The one sampling loop: its chunks read the stream as one draw would."""
+
+    @pytest.mark.parametrize("samples", [1, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 2 * MC_CHUNK + 7])
+    def test_chunks_give_the_counts_of_one_draw(self, samples):
+        chunks = []
+
+        def draw(rng, chunk):
+            chunks.append(chunk)
+            return (rng.random((chunk, 2)) * [3, 2]).astype(np.int64)
+
+        joint = _sampled_joint(5, samples, 3, draw)
+        assert sum(chunks) == samples
+        assert chunks[:-1] == [MC_CHUNK] * (len(chunks) - 1)
+        pairs = (np.random.Generator(np.random.Philox(key=5)).random((samples, 2)) * [3, 2])
+        pairs = pairs.astype(np.int64)
+        counts = np.bincount(pairs[:, 0] * 3 + pairs[:, 1], minlength=9).reshape(3, 3)
+        assert joint.counts == joint_from_counts(counts, 5).counts
+        assert joint.provenance == joint_from_counts(counts, 5).provenance
+
+
+def digits_of(rule, shape, code):
+    """The label indices of the labeling with mixed-radix ``code``."""
+    n_values = len(rule.input_values)
+    return [code // n_values ** (len(shape) - 1 - p) % n_values for p in range(len(shape))]
 
 
 def counting(rule):
@@ -424,6 +462,22 @@ class TestEvaluationCount:
         rule, calls = counting(majority_rule(3))
         mc_joint(rule, 3, 2, 25_000, 8)
         assert len(calls) <= 2**4
+
+    @pytest.mark.parametrize("factory, d, k, n_labelings", [
+        (majority_rule, 3, 1, 2**4), (lambda d: letters_rule(), 3, 0, 4**4),
+        (lambda d: depth_two_rule(), 3, 2, 2**10), (parity_rule, 16, 1, 2**17),
+    ], ids=["majority", "letters", "depth-two", "parity-d16"])
+    def test_exact_runs_each_labeling_once_without_the_sample_cache(
+        self, monkeypatch, factory, d, k, n_labelings
+    ):
+        # Enumeration meets every labeling once, so nothing it could cache
+        # would be read again; from 2^17 labelings on no table would hold them.
+        monkeypatch.setattr(processes, "_ball_outputs", lambda *args: pytest.fail("cache built"))
+        rule, calls = counting(factory(d))
+        pm = exact_joint(rule, d, k)
+        assert len(calls) == n_labelings
+        if n_labelings <= 2**10:
+            assert_same_measurement(pm, ref_exact_joint(factory(d), d, k))
 
     def test_exact_calls_the_rule_once_per_labeling_of_the_ball(self):
         rule, calls = counting(parity_rule(3))
