@@ -21,12 +21,8 @@ from .errors import (
 from .information import (
     JointDistribution,
     MeasuredQuantity,
-    conditional_entropy,
     empirical_joint,
-    joint_entropy,
     maximal_correlation,
-    mutual_information,
-    normalized_mi,
     symmetric_binary_joint,
 )
 from .processes import (
@@ -39,7 +35,6 @@ from .processes import (
     gaussian_sign_closed_form,
     gaussian_sign_measure,
     listing_finite_N_mi,
-    listing_normalized_mi,
     mc_joint,
     random_regular_graph,
     sign_corr,
@@ -68,7 +63,6 @@ from .words import (
     inverse,
     is_palindrome,
     multiply,
-    reduce,
     verify_coset_factorization,
     verify_free_claim,
     word_from_str,

@@ -28,7 +28,6 @@ from .processes import (
     GaussianSignSpec,
     exact_joint,
     gaussian_sign_measure,
-    listing_normalized_mi,
     mc_joint,
     random_regular_graph,
     sparse_coloring,
@@ -38,7 +37,7 @@ from .processes import (
     short_cycle_count,
 )
 from .information import MeasuredQuantity
-from .tree import BallRegion, ball_size
+from .tree import BallRegion, ball_size, listing_ratio
 from .words import (
     DEFAULT_SEQUENCE_BUDGET,
     build_generators,
@@ -202,7 +201,7 @@ def _measure_block_rule(args) -> tuple[list[dict], list[str], int, Optional[Ball
 def _measure_listing(args) -> tuple[list[dict], list[str], int, Optional[BallRegion]]:
     if args.R is None:
         raise ValueError("the listing process needs --R")
-    ratio = listing_normalized_mi(args.d, args.R, args.k)
+    ratio = float(listing_ratio(args.d, args.R, args.k))
     row = {
         "process": "listing",
         "d": args.d,
@@ -382,8 +381,6 @@ def cmd_sharpness(args) -> int:
 def cmd_gaussian(args) -> int:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
-    if args.samples < 0:
-        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     spec = GaussianSignSpec(args.d, args.eps, args.D, tail_tol=args.tail_tol)
     rows = []
     lines = [f"gaussian-sign d={args.d} eps={args.eps} D={args.D}"]
@@ -404,23 +401,10 @@ def cmd_gaussian(args) -> int:
         }
         # The table's text leaves the verdict lines out.
         worst = max(worst, _add_verdicts(row, [], args.d, k, pm.nmi, pm.mi, 2))
-        if args.samples > 0:
-            mc = gaussian_sign_measure(spec, k, args.samples, seed=args.seed)
-            row.update(
-                {
-                    "mc_corr": mc.corr.value,
-                    "mc_corr_stderr": mc.corr.stderr,
-                    "mc_mi": mc.mi.value,
-                    "mc_mi_stderr": mc.mi.stderr,
-                    "samples": args.samples,
-                    "seed": args.seed,
-                }
-            )
         rows.append(row)
         lines.append(
             f"  k={k}: corr={row['corr']:.6f} mi={row['mi']:.6e} "
             f"mi*(d-1)^k={row['mi_scaled']:.6f}"
-            + (f" mc_mi={row['mc_mi']:.6e}±{row['mc_mi_stderr']:.1e}" if args.samples > 0 else "")
         )
     if args.kmax >= 3:
         ks = np.arange(2, args.kmax + 1, dtype=float)
@@ -430,7 +414,6 @@ def cmd_gaussian(args) -> int:
             row["fitted_exponent"] = float(fit[0])
     fields = [
         "d", "k", "eps", "D", "rho", "corr", "mi", "mi_scaled", "mi_remainder",
-        "mc_corr", "mc_corr_stderr", "mc_mi", "mc_mi_stderr", "samples", "seed",
     ] + _VERDICT_FIELDS + ["fitted_exponent"]
     _emit(rows, lines, fields, args)
     return worst
@@ -535,13 +518,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sharpness)
 
     p = sub.add_parser("gaussian",
-                       help="gaussian-sign sweep over distances")
+                       help="gaussian-sign closed form over distances 1..kmax")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--D", type=int, default=100_000)
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail-tol", type=float, default=None)
     p.set_defaults(func=cmd_gaussian)
 

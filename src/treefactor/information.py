@@ -226,28 +226,6 @@ class Estimates:
         return MeasuredQuantity(value, float(np.std(values, ddof=1)), "plug-in")
 
 
-def joint_entropy(J: JointDistribution) -> MeasuredQuantity:
-    return Estimates(J).quantity("h_xy")
-
-
-def mutual_information(J: JointDistribution) -> MeasuredQuantity:
-    return Estimates(J).quantity("mi")
-
-
-def conditional_entropy(J: JointDistribution, given: Literal["x", "y"] = "y") -> MeasuredQuantity:
-    """H(X|Y) for given="y" (the default), H(Y|X) for given="x"."""
-    return Estimates(J).quantity("h_x_given_y" if given == "y" else "h_y_given_x")
-
-
-def normalized_mi(J: JointDistribution, marginal: Literal["x", "y"] = "y") -> MeasuredQuantity:
-    """I(X;Y) / H of the designated marginal.
-
-    Raises UndefinedQuantityError when that marginal has zero entropy:
-    the ratio has no value there, which is different from being 0.
-    """
-    return Estimates(J).quantity("nmi_x" if marginal == "x" else "nmi_y")
-
-
 def empirical_joint(
     samples: Sequence[tuple[int, int]],
     seed: Optional[int],

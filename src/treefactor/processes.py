@@ -49,7 +49,6 @@ from .tree import (
     _path_letters,
     ball,
     ball_size,
-    listing_ratio,
     origin,
     region_from_balls,
     sphere_size,
@@ -57,6 +56,9 @@ from .tree import (
 from .words import FreeProductSignature
 
 DEFAULT_ENUM_BUDGET = 2**18
+# How a refused exact enumeration tells the library and the command-line user to sample.
+_SAMPLED_INSTEAD = ("for a sampled estimate use mc_joint, "
+                    "or --method mc or --method auto on the command line")
 DEFAULT_REGION_VERTEX_BUDGET = 60_000
 MC_CHUNK = 10_000
 _PAIRING_ATTEMPTS = 5000  # stub pairings tried before random_regular_graph gives up
@@ -395,13 +397,12 @@ def exact_joint(
     total = n_values ** len(shape)
     if total > budget:
         raise BudgetExceededError(
-            f"{total} label configurations exceed the budget of {budget}; "
-            "use mc_joint for a sampled estimate"
+            f"{total} label configurations exceed the budget of {budget}; {_SAMPLED_INSTEAD}"
         )
     if total > np.iinfo(np.int64).max:
         raise BudgetExceededError(
             f"exact enumeration numbers the labelings of a ball by int64 codes, and its "
-            f"{total} labelings do not fit in int64; use mc_joint for a sampled estimate"
+            f"{total} labelings do not fit in int64; {_SAMPLED_INSTEAD}"
         )
     m = len(rule.output_values)
     probs = np.asarray(rule.input_probs, dtype=float)
@@ -819,14 +820,6 @@ def sparse_coloring(G: FiniteGraphInstance, separation: int, seed: int) -> Spars
 # ---------------------------------------------------------------------------
 # The label-listing process
 # ---------------------------------------------------------------------------
-
-
-def listing_normalized_mi(d: int, radius: int, k: int) -> float:
-    """Large-alphabet limit of I/H for the rule that lists all labels in
-    the radius-R ball: the shared fraction of the two lists."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return float(listing_ratio(d, radius, k))
 
 
 def listing_finite_N_mi(

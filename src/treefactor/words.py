@@ -159,11 +159,6 @@ class Word:
         return cls(_multiply_raw((), _pack_letters(seq, sig), sig.r), sig)
 
 
-def reduce(seq: Iterable, sig: FreeProductSignature) -> Word:
-    """Reduced form of a letter sequence (idempotent, same group element)."""
-    return Word.from_letters(seq, sig)
-
-
 def multiply(w1: Word, w2: Word) -> Word:
     if w1.sig != w2.sig:
         raise ValueError(f"signature mismatch: {w1.sig} vs {w2.sig}")

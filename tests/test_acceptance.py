@@ -11,9 +11,9 @@ import pytest
 
 from treefactor.bounds import fixed_process_mi_bound, normalized_mi_bound
 from treefactor.information import (
+    Estimates,
     JointDistribution,
     maximal_correlation,
-    mutual_information,
     symmetric_binary_joint,
 )
 from treefactor.processes import (
@@ -115,7 +115,7 @@ def test_criterion_06_mi_versus_maximal_correlation():
         matrix = rng.random((m, n)) ** 2 + 1e-12
         J = JointDistribution.from_array(matrix / matrix.sum())
         alpha = maximal_correlation(J)
-        ok = ok and mutual_information(J).value <= (m - 1) * alpha**2 + 1e-8
+        ok = ok and Estimates(J).quantity("mi").value <= (m - 1) * alpha**2 + 1e-8
     for q in np.linspace(0.0, 1.0, 101):
         J = symmetric_binary_joint(float(q))
         ok = ok and abs(maximal_correlation(J) - abs(2 * q - 1)) <= 1e-8

@@ -14,10 +14,10 @@ from treefactor.bounds import (
     universal_verdict,
 )
 from treefactor.information import (
+    Estimates,
     JointDistribution,
     MeasuredQuantity,
     joint_from_counts,
-    normalized_mi,
     symmetric_binary_joint,
 )
 
@@ -89,13 +89,13 @@ class TestEdgeBound:
             assert normalized_mi_bound(d, 1) == Fraction(2, d)
 
     def test_product_passes(self):
-        verdict = universal_verdict(3, 1, normalized_mi(UNIFORM_PRODUCT))
+        verdict = universal_verdict(3, 1, Estimates(UNIFORM_PRODUCT).quantity("nmi_y"))
         assert verdict.passed
         assert verdict.measured.value == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_coupling_fails(self):
         # I/H = 1 > 2/3: correctly flags a law no local rule can produce
-        verdict = universal_verdict(3, 1, normalized_mi(DIAGONAL))
+        verdict = universal_verdict(3, 1, Estimates(DIAGONAL).quantity("nmi_y"))
         assert not verdict.passed
         assert verdict.bound == pytest.approx(2 / 3)
 
@@ -104,15 +104,15 @@ class TestEdgeBound:
         counts = np.array([[2505, 2495], [2490, 2510]])
         J = joint_from_counts(counts, seed=0)
         assert not np.allclose(J.as_array.sum(axis=0), J.as_array.sum(axis=1))
-        verdict = universal_verdict(3, 1, normalized_mi(J))
+        verdict = universal_verdict(3, 1, Estimates(J).quantity("nmi_y"))
         assert verdict.passed
         assert verdict.slack > 0.0
 
     def test_unequal_marginals_verdict_follows_the_chosen_marginal(self):
         # Y uniform on 4 states, X = Y mod 2: I = H(X) = log 2, H(Y) = log 4
         J = JointDistribution.from_array([[0.25, 0.0, 0.25, 0.0], [0.0, 0.25, 0.0, 0.25]])
-        by_y = universal_verdict(3, 1, normalized_mi(J, "y"))
-        by_x = universal_verdict(3, 1, normalized_mi(J, "x"))
+        by_y = universal_verdict(3, 1, Estimates(J).quantity("nmi_y"))
+        by_x = universal_verdict(3, 1, Estimates(J).quantity("nmi_x"))
         assert by_y.measured.value == pytest.approx(0.5, abs=1e-12)
         assert by_y.passed
         assert by_x.measured.value == pytest.approx(1.0, abs=1e-12)
@@ -121,8 +121,8 @@ class TestEdgeBound:
     def test_invariant_under_independent_copies(self):
         J = symmetric_binary_joint(0.75)
         J2 = JointDistribution.from_array(np.kron(J.as_array, J.as_array))
-        v1 = universal_verdict(3, 1, normalized_mi(J))
-        v2 = universal_verdict(3, 1, normalized_mi(J2))
+        v1 = universal_verdict(3, 1, Estimates(J).quantity("nmi_y"))
+        v2 = universal_verdict(3, 1, Estimates(J2).quantity("nmi_y"))
         assert v1.passed == v2.passed
         assert v1.measured.value == pytest.approx(v2.measured.value, abs=1e-10)
 

@@ -484,7 +484,7 @@ class TestBudgetValidation:
     def refused(self, monkeypatch):
         return refuse(monkeypatch, ("build_generators", "certify_free_claim", "verify_free_claim",
                                     "verify_coset_factorization", "exact_joint", "mc_joint",
-                                    "gaussian_sign_measure", "listing_normalized_mi"))
+                                    "gaussian_sign_measure", "listing_ratio"))
 
     @pytest.mark.parametrize("argv", _BUDGET_COMMANDS, ids=lambda argv: argv[0])
     def test_negative_flag(self, capsys, refused, argv):
@@ -575,7 +575,8 @@ class TestEnumerationBudget:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"{2**19} label configurations exceed the budget of {2**18}" in err
-        assert "use mc_joint" in err
+        # The library remedy, and the options a command-line user has instead.
+        assert "use mc_joint" in err and "--method mc" in err and "--method auto" in err
 
     # A majority ball at d=70 has 2^71 labelings: within this budget, past int64.
     PAST_INT64 = ("measure", "--process", "majority", "--d", "70", "--k", "1",
@@ -587,6 +588,7 @@ class TestEnumerationBudget:
         assert out == ""
         assert err.startswith("treefactor: error: ") and "do not fit in int64" in err
         assert "budget" not in err
+        assert "use mc_joint" in err and "--method mc" in err and "--method auto" in err
 
     def test_auto_method_past_int64_falls_back_to_monte_carlo(self, capsys):
         code, out, _ = run(capsys, "--format", "json", *self.PAST_INT64, "--method", "auto",
@@ -617,7 +619,7 @@ class TestMeasureInputs:
     @pytest.fixture
     def measured(self, monkeypatch):
         return refuse(monkeypatch, ("exact_joint", "mc_joint", "gaussian_sign_measure",
-                                    "listing_normalized_mi"))
+                                    "listing_ratio"))
 
     @pytest.mark.parametrize("process", ["majority", "listing", "gaussian-sign"])
     def test_k_below_one(self, capsys, measured, process):
@@ -673,14 +675,54 @@ class TestGaussian:
         assert code == EXIT_OK
         assert "fitted growth exponent" in out
 
-    def test_with_sampling_columns(self, capsys):
-        code, out, _ = run(
-            capsys, "--format", "json", "gaussian", "--d", "3", "--eps", "0.25",
-            "--kmax", "2", "--D", "6", "--samples", "5000", "--seed", "3",
-        )
-        payload = json.loads(out)
-        assert "mc_mi" in payload["rows"][0]
+    def test_rows_equal_the_exact_sweep_rows(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "--format", "json", "gaussian", "--d", "3", "--eps", "0.25",
+                           "--kmax", "4", "--D", "8")
         assert code == EXIT_OK
+        table = json.loads(out)["rows"]
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("process = gaussian-sign\nd = 3\nk = 1:4\neps = 0.25\nD = 8\n"
+                       "method = exact\n")
+        code, out, _ = run(capsys, "--format", "json", "sweep", "--config", str(cfg))
+        assert code == EXIT_OK
+        swept = json.loads(out)["rows"]
+        assert [row["k"] for row in table] == [row["k"] for row in swept] == [1, 2, 3, 4]
+        for row, sweep_row in zip(table, swept):
+            assert row["corr"] == sweep_row["corr"]
+            assert row["mi"] == sweep_row["I"]
+            for field in cli._VERDICT_FIELDS:
+                assert row[field] == sweep_row[field], field
+
+    # gaussian --d 3 --eps 0.25 --kmax 3 --D 8 --samples 20000 --seed 5 printed these
+    # (mc_corr, mc_corr_stderr, mc_mi, mc_mi_stderr) before its sampling flags were
+    # removed; the sign-process Monte Carlo of measure and sweep is the same one.
+    SAMPLED = {
+        1: (0.4372827752365572, 0.006337905012134992,
+            0.09891404253149805, 0.002972482412594312),
+        2: (0.40968026597064494, 0.006535795905023293,
+            0.08643873791607559, 0.0028403537712330743),
+        3: (0.28294145948987004, 0.0062813039890514556,
+            0.04058057973550455, 0.0018252334179403374),
+    }
+
+    def test_sweep_reproduces_the_removed_sampling_columns(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("process = gaussian-sign\nd = 3\nk = 1:3\neps = 0.25\nD = 8\n"
+                       "method = mc\nsamples = 20000\nseed = 5\n")
+        code, out, _ = run(capsys, "--format", "json", "sweep", "--config", str(cfg))
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert {row["k"]: (row["corr"], row["corr_stderr"], row["I"], row["I_stderr"])
+                for row in rows} == self.SAMPLED
+
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_sampling_flags_are_unknown(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["gaussian", "--d", "3", "--eps", "0.25", "--kmax", "2", flag, "5"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 5" in err
 
     def test_truncation_tolerance_violation(self, capsys):
         code, _, err = run(
@@ -693,7 +735,6 @@ class TestGaussian:
     @pytest.mark.parametrize("argv, message", [
         (["--eps", "nan", "--kmax", "2"], "eps must be a positive finite number"),
         (["--eps", "0.25", "--kmax", "0"], "--kmax must be >= 1, got 0"),
-        (["--eps", "0.25", "--kmax", "2", "--samples", "-1"], "--samples must be >= 0, got -1"),
     ])
     def test_bad_inputs_rejected(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(cli, "gaussian_sign_measure",
@@ -704,13 +745,14 @@ class TestGaussian:
         assert message in err
 
     @pytest.mark.parametrize("argv", [
-        ["gaussian", "--d", "3", "--eps", "0.25", "--kmax", "2", "--samples", "100", "--seed", "1"],
+        ["measure", "--process", "gaussian-sign", "--d", "3", "--k", "2", "--D", "100000",
+         "--samples", "100", "--seed", "1"],
         ["measure", "--process", "gaussian-sign", "--d", "3", "--k", "2", "--D", "20000",
          "--samples", "100", "--seed", "1"],
-    ], ids=["gaussian-default-D", "measure"])
+    ], ids=["measure-D100000", "measure"])
     def test_monte_carlo_past_the_region_budget(self, capsys, argv):
-        # The message used to carry the uncapped region size, which at the
-        # default D = 100000 has too many digits for Python to print.
+        # The message used to carry the uncapped region size, which at
+        # D = 100000 has too many digits for Python to print.
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
@@ -772,7 +814,8 @@ class TestSparse:
 
 
 class TestCsvColumns:
-    """The CSV header of each single-row command, in its column order."""
+    """The CSV header of each command whose columns do not depend on its
+    inputs, in its column order."""
 
     @pytest.mark.parametrize("argv, header", [
         (["sparse", "--mode", "set", "--n", "300", "--d", "3", "--L", "2", "--seed", "4"],
@@ -784,7 +827,11 @@ class TestCsvColumns:
          "min_product_length,certificate,certificate_states,elements"),
         (["factorization", "--d", "4", "--k", "3", "--L", "3"],
          "schema,d,k,L,result,complete,items_checked,ball_size,message"),
-    ], ids=["sparse-set", "sparse-coloring", "generators", "factorization"])
+        (["gaussian", "--d", "3", "--eps", "0.25", "--kmax", "3", "--D", "5000"],
+         "schema,d,k,eps,D,rho,corr,mi,mi_scaled,mi_remainder,"
+         "universal_normalized_MI_bound_bound,universal_normalized_MI_bound_verdict,"
+         "fixed_process_MI_bound_bound,fixed_process_MI_bound_verdict,fitted_exponent"),
+    ], ids=["sparse-set", "sparse-coloring", "generators", "factorization", "gaussian"])
     def test_header(self, capsys, argv, header):
         code, out, _ = run(capsys, "--format", "csv", *argv)
         assert code == EXIT_OK

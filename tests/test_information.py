@@ -11,12 +11,8 @@ from treefactor.information import (
     Estimates,
     JointDistribution,
     MeasuredQuantity,
-    conditional_entropy,
     empirical_joint,
-    joint_entropy,
     maximal_correlation,
-    mutual_information,
-    normalized_mi,
     symmetric_binary_joint,
 )
 
@@ -97,25 +93,25 @@ class TestEntropy:
 
 class TestJointQuantities:
     def test_product_of_uniform_binaries(self):
-        J = JointDistribution.from_array(np.full((2, 2), 0.25))
-        assert joint_entropy(J).value == pytest.approx(2 * LOG2, abs=1e-12)
-        assert mutual_information(J).value == pytest.approx(0.0, abs=1e-12)
-        assert conditional_entropy(J).value == pytest.approx(LOG2, abs=1e-12)
-        assert normalized_mi(J).value == pytest.approx(0.0, abs=1e-12)
+        est = Estimates(JointDistribution.from_array(np.full((2, 2), 0.25)))
+        assert est.quantity("h_xy").value == pytest.approx(2 * LOG2, abs=1e-12)
+        assert est.quantity("mi").value == pytest.approx(0.0, abs=1e-12)
+        assert est.quantity("h_x_given_y").value == pytest.approx(LOG2, abs=1e-12)
+        assert est.quantity("nmi_y").value == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_variables(self):
-        J = JointDistribution.from_array([[0.5, 0.0], [0.0, 0.5]])
-        assert joint_entropy(J).value == pytest.approx(LOG2, abs=1e-12)
-        assert mutual_information(J).value == pytest.approx(LOG2, abs=1e-12)
-        assert conditional_entropy(J).value == pytest.approx(0.0, abs=1e-12)
-        assert normalized_mi(J).value == pytest.approx(1.0, abs=1e-12)
+        est = Estimates(JointDistribution.from_array([[0.5, 0.0], [0.0, 0.5]]))
+        assert est.quantity("h_xy").value == pytest.approx(LOG2, abs=1e-12)
+        assert est.quantity("mi").value == pytest.approx(LOG2, abs=1e-12)
+        assert est.quantity("h_x_given_y").value == pytest.approx(0.0, abs=1e-12)
+        assert est.quantity("nmi_y").value == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_binary_agreement_three_quarters(self):
-        J = symmetric_binary_joint(0.75)
-        assert joint_entropy(J).value == pytest.approx(LOG2 + H_3QUARTERS, abs=1e-12)
-        assert mutual_information(J).value == pytest.approx(MI_3QUARTERS, abs=1e-12)
-        assert conditional_entropy(J).value == pytest.approx(H_3QUARTERS, abs=1e-12)
-        assert normalized_mi(J).value == pytest.approx(MI_3QUARTERS / LOG2, abs=1e-12)
+        est = Estimates(symmetric_binary_joint(0.75))
+        assert est.quantity("h_xy").value == pytest.approx(LOG2 + H_3QUARTERS, abs=1e-12)
+        assert est.quantity("mi").value == pytest.approx(MI_3QUARTERS, abs=1e-12)
+        assert est.quantity("h_x_given_y").value == pytest.approx(H_3QUARTERS, abs=1e-12)
+        assert est.quantity("nmi_y").value == pytest.approx(MI_3QUARTERS / LOG2, abs=1e-12)
 
     def test_conditional_entropy_expectation_form(self):
         # oracle: sum over y of P(y) * H(X | Y=y)
@@ -128,18 +124,18 @@ class TestJointQuantities:
             for j, pyj in enumerate(py):
                 cond = m[:, j] / pyj
                 expected += pyj * float(-(cond[cond > 0] * np.log(cond[cond > 0])).sum())
-            assert conditional_entropy(J).value == pytest.approx(expected, abs=1e-10)
+            assert Estimates(J).quantity("h_x_given_y").value == pytest.approx(expected, abs=1e-10)
 
     def test_zero_entropy_marginal_signals_undefined(self):
         J = JointDistribution.from_array([[0.5], [0.5]])
         with pytest.raises(UndefinedQuantityError):
-            normalized_mi(J)
+            Estimates(J).quantity("nmi_y")
 
     def test_zero_entropy_x_marginal_signals_undefined(self):
-        J = JointDistribution.from_array([[0.5, 0.5]])
+        est = Estimates(JointDistribution.from_array([[0.5, 0.5]]))
         with pytest.raises(UndefinedQuantityError):
-            normalized_mi(J, "x")
-        assert normalized_mi(J, "y").value == pytest.approx(0.0, abs=1e-12)
+            est.quantity("nmi_x")
+        assert est.quantity("nmi_y").value == pytest.approx(0.0, abs=1e-12)
 
     def test_conditioning_on_x_on_random_joints(self):
         rng = np.random.default_rng(11)
@@ -147,27 +143,29 @@ class TestJointQuantities:
             J = random_joint(rng)
             hx = entropy(J.as_array.sum(axis=1))
             hy = entropy(J.as_array.sum(axis=0))
-            i_xy = mutual_information(J).value
-            assert joint_entropy(J).value == pytest.approx(
-                hx + conditional_entropy(J, given="x").value, abs=1e-10
+            est = Estimates(J)
+            i_xy = est.quantity("mi").value
+            assert est.quantity("h_xy").value == pytest.approx(
+                hx + est.quantity("h_y_given_x").value, abs=1e-10
             )
-            assert normalized_mi(J, "x").value == pytest.approx(i_xy / hx, abs=1e-10)
-            assert normalized_mi(J, "y").value == pytest.approx(i_xy / hy, abs=1e-10)
+            assert est.quantity("nmi_x").value == pytest.approx(i_xy / hx, abs=1e-10)
+            assert est.quantity("nmi_y").value == pytest.approx(i_xy / hy, abs=1e-10)
 
     def test_information_identities_on_random_joints(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             J = random_joint(rng)
-            i_xy = mutual_information(J).value
-            i_yx = mutual_information(JointDistribution.from_array(J.as_array.T)).value
+            est = Estimates(J)
+            i_xy = est.quantity("mi").value
+            i_yx = Estimates(JointDistribution.from_array(J.as_array.T)).quantity("mi").value
             assert i_xy == pytest.approx(i_yx, abs=1e-12)
             hx = entropy(J.as_array.sum(axis=1))
             hy = entropy(J.as_array.sum(axis=0))
             assert i_xy >= -1e-10
             assert i_xy <= min(hx, hy) + 1e-10
             # chain identity
-            assert joint_entropy(J).value == pytest.approx(
-                hy + conditional_entropy(J, given="y").value, abs=1e-10
+            assert est.quantity("h_xy").value == pytest.approx(
+                hy + est.quantity("h_x_given_y").value, abs=1e-10
             )
 
 
@@ -201,7 +199,7 @@ class TestEmpirical:
         rng = np.random.default_rng(2024)
         samples = list(zip(rng.integers(0, 2, 10_000), rng.integers(0, 2, 10_000)))
         J = empirical_joint(samples, seed=2024)
-        mi = mutual_information(J)
+        mi = Estimates(J).quantity("mi")
         assert mi.stderr > 0
         assert abs(mi.value) <= 3 * mi.stderr + 1e-9
 
@@ -212,20 +210,20 @@ class TestEmpirical:
         agree = rng.random(n) < 0.75
         y = np.where(agree, x, 1 - x)
         J = empirical_joint(list(zip(x, y)), seed=77)
-        mi = mutual_information(J)
+        mi = Estimates(J).quantity("mi")
         assert abs(mi.value - MI_3QUARTERS) <= 3 * mi.stderr
 
     def test_bootstrap_deterministic(self):
         samples = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0)]
-        a = mutual_information(empirical_joint(samples, seed=5))
-        b = mutual_information(empirical_joint(samples, seed=5))
+        a = Estimates(empirical_joint(samples, seed=5)).quantity("mi")
+        b = Estimates(empirical_joint(samples, seed=5)).quantity("mi")
         assert a == b
 
     def test_bootstrap_skips_degenerate_resamples(self):
         # with 3 samples, many resamples collapse a marginal; the ratio's
         # stderr must still come out finite
         J = empirical_joint([(0, 0), (1, 1), (0, 1)], seed=9)
-        q = normalized_mi(J)
+        q = Estimates(J).quantity("nmi_y")
         assert math.isfinite(q.stderr)
 
 
@@ -270,7 +268,7 @@ class TestMaximalCorrelation:
             J = random_joint(rng)
             alpha = maximal_correlation(J)
             m = J.shape[0]
-            assert mutual_information(J).value <= (m - 1) * alpha**2 + 1e-8
+            assert Estimates(J).quantity("mi").value <= (m - 1) * alpha**2 + 1e-8
 
 
 class TestCorrelationOfFunctions:
@@ -305,17 +303,17 @@ class TestTensorPower:
 
     def test_product_stays_product(self):
         J = JointDistribution.from_array(np.outer([0.4, 0.6], [0.5, 0.5]))
-        assert mutual_information(copies(J, 3)).value == pytest.approx(0.0, abs=1e-10)
+        assert Estimates(copies(J, 3)).quantity("mi").value == pytest.approx(0.0, abs=1e-10)
 
     def test_quantities_scale_linearly(self):
         J = symmetric_binary_joint(0.75)
-        J2 = copies(J, 2)
-        assert mutual_information(J2).value == pytest.approx(2 * MI_3QUARTERS, abs=1e-10)
-        assert joint_entropy(J2).value == pytest.approx(
-            2 * joint_entropy(J).value, abs=1e-10
+        one, two = Estimates(J), Estimates(copies(J, 2))
+        assert two.quantity("mi").value == pytest.approx(2 * MI_3QUARTERS, abs=1e-10)
+        assert two.quantity("h_xy").value == pytest.approx(
+            2 * one.quantity("h_xy").value, abs=1e-10
         )
-        assert normalized_mi(J2).value == pytest.approx(
-            normalized_mi(J).value, abs=1e-10
+        assert two.quantity("nmi_y").value == pytest.approx(
+            one.quantity("nmi_y").value, abs=1e-10
         )
 
     def test_maximal_correlation_does_not_drop(self):

@@ -25,7 +25,6 @@ from treefactor.processes import (
     gaussian_sign_measure,
     identity_rule,
     listing_finite_N_mi,
-    listing_normalized_mi,
     majority_rule,
     mc_joint,
     measurement_from_joint,
@@ -37,7 +36,7 @@ from treefactor.processes import (
     sparse_set_labeling,
     tree_ball_graph,
 )
-from treefactor.tree import ball_size, origin, vertex_at_distance
+from treefactor.tree import ball_size, listing_ratio, origin, vertex_at_distance
 from treefactor.words import _ball_words
 
 # frozen: independent nested-loop enumeration over the 2^|region| binary
@@ -317,14 +316,14 @@ class TestSparseColoring:
 
 class TestListing:
     def test_closed_form_examples(self):
-        assert listing_normalized_mi(3, 2, 1) == pytest.approx(0.6)
-        assert listing_normalized_mi(3, 2, 5) == 0.0
-        assert listing_normalized_mi(3, 12, 2) == pytest.approx(0.5, abs=1e-3)
+        assert float(listing_ratio(3, 2, 1)) == pytest.approx(0.6)
+        assert float(listing_ratio(3, 2, 5)) == 0.0
+        assert float(listing_ratio(3, 12, 2)) == pytest.approx(0.5, abs=1e-3)
 
     def test_finite_label_count_approaches_ratio(self):
         G = random_regular_graph(200, 3, seed=11)
         coloring = sparse_coloring(G, 3, seed=12)  # L = 2R+k for R=1, k=1
-        target = listing_normalized_mi(3, 1, 1)
+        target = float(listing_ratio(3, 1, 1))
         gaps = []
         for n_labels in (2, 16, 256):
             pm = listing_finite_N_mi(3, 1, 1, n_labels, coloring)

@@ -19,13 +19,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 KEPT = {
     "correlation_bound": "the paper's correlation bound; ROADMAP item 4 gives it a caller",
-    "joint_entropy": "named view of Estimates that the tests read through",
-    "mutual_information": "named view of Estimates that the tests read through",
-    "conditional_entropy": "named view of Estimates that the tests read through",
-    "normalized_mi": "named view of Estimates that the tests read through",
-    "empirical_joint": "named view of Estimates that the tests read through",
+    "empirical_joint": "joint of sample pairs that the tests build fixtures with",
     "dist": "word algebra that the tests use as an oracle",
-    "reduce": "word algebra that the tests use to build fixtures",
     "is_palindrome": "word algebra that the tests use as an oracle",
     "word_from_str": "word algebra that the tests use to build fixtures",
     "tree_ball_graph": "finite tree ball that the tests use as an oracle",

@@ -19,11 +19,7 @@ from treefactor.information import (
     DEFAULT_BOOTSTRAP_RESAMPLES,
     _BOOTSTRAP_SALT,
     Estimates,
-    conditional_entropy,
-    joint_entropy,
     joint_from_counts,
-    mutual_information,
-    normalized_mi,
 )
 from treefactor.bounds import normalized_mi_bound
 from treefactor.processes import (
@@ -111,12 +107,13 @@ def reference(J, fx, gy):
 
 
 def kernel(J, fx, gy):
-    """The same statistics through the public functions and measurement_from_joint."""
+    """The same statistics through Estimates and measurement_from_joint."""
+    plain = Estimates(J)
     out = {
-        "H_xy": outcome(lambda: pair(joint_entropy(J))),
-        "H_x|y": outcome(lambda: pair(conditional_entropy(J))),
-        "I": outcome(lambda: pair(mutual_information(J))),
-        "nmi": outcome(lambda: pair(normalized_mi(J))),
+        "H_xy": outcome(lambda: pair(plain.quantity("h_xy"))),
+        "H_x|y": outcome(lambda: pair(plain.quantity("h_x_given_y"))),
+        "I": outcome(lambda: pair(plain.quantity("mi"))),
+        "nmi": outcome(lambda: pair(plain.quantity("nmi_y"))),
     }
     pm = outcome(lambda: measurement_from_joint(2, 1, J, fx, gy, "monte-carlo"))
     if pm is UndefinedQuantityError:
@@ -187,7 +184,7 @@ def test_one_multinomial_draw_per_measurement(monkeypatch):
     J = joint_from_counts(np.array([[30, 10, 2], [12, 28, 5]]), seed=3)
     measurement_from_joint(2, 1, J, (0.0, 1.0), (0.0, 1.0, 2.0), "monte-carlo")
     assert len(calls) == 1
-    normalized_mi(J)
+    Estimates(J).quantity("nmi_y")
     assert len(calls) == 2
 
 

@@ -26,7 +26,6 @@ from treefactor.words import (
     inverse,
     is_palindrome,
     multiply,
-    reduce,
     verify_coset_factorization,
     verify_free_claim,
     word_from_str,
@@ -88,106 +87,106 @@ class TestSignatureAndLetters:
 
 class TestReduce:
     def test_cancel_to_identity(self):
-        assert reduce([1, -1], F2) == Word.identity(F2)
+        assert Word.from_letters([1, -1], F2) == Word.identity(F2)
 
     def test_involution_squares_to_identity(self):
-        assert reduce([3, 3], MIXED) == Word.identity(MIXED)
+        assert Word.from_letters([3, 3], MIXED) == Word.identity(MIXED)
 
     def test_inner_cancellation(self):
         # oracle: scan-until-fixpoint cancellation
         seq = [1, 2, -2, 1]
         assert scan_reduce(seq, F2) == (1, 1)
-        assert reduce(seq, F2).letters == (1, 1)
+        assert Word.from_letters(seq, F2).letters == (1, 1)
 
     def test_invalid_letter(self):
         with pytest.raises(ValueError):
-            reduce([5], F2)
+            Word.from_letters([5], F2)
 
     def test_invalid_letter_rejected_before_cancelling(self):
         # [5, 5] would cancel to the identity if reduced unchecked
         with pytest.raises(ValueError, match="letter 5 out of range"):
-            reduce([5, 5], F2)
+            Word.from_letters([5, 5], F2)
 
     @given(st.data())
     def test_matches_scan_oracle(self, data):
         seq = data.draw(random_letters(F2))
-        assert reduce(seq, F2).letters == scan_reduce(seq, F2)
+        assert Word.from_letters(seq, F2).letters == scan_reduce(seq, F2)
 
     @given(st.data())
     def test_matches_scan_oracle_with_involutions(self, data):
         seq = data.draw(random_letters(MIXED))
-        assert reduce(seq, MIXED).letters == scan_reduce(seq, MIXED)
+        assert Word.from_letters(seq, MIXED).letters == scan_reduce(seq, MIXED)
 
     @given(st.data())
     def test_idempotent(self, data):
         seq = data.draw(random_letters(MIXED))
-        w = reduce(seq, MIXED)
-        assert reduce(w.letters, MIXED) == w
+        w = Word.from_letters(seq, MIXED)
+        assert Word.from_letters(w.letters, MIXED) == w
 
 
 class TestMultiplyInverse:
     def test_identity_element(self):
-        w = reduce([1, 2], F2)
+        w = Word.from_letters([1, 2], F2)
         e = Word.identity(F2)
         assert multiply(e, w) == w
         assert multiply(w, e) == w
 
     def test_product_reduces(self):
-        # oracle: reduce on concatenation
-        w1 = reduce([1, 2], F2)
-        w2 = reduce([-2, 1], F2)
+        # oracle: reduction of the concatenation
+        w1 = Word.from_letters([1, 2], F2)
+        w2 = Word.from_letters([-2, 1], F2)
         assert multiply(w1, w2).letters == (1, 1)
-        assert multiply(w1, w2) == reduce(w1.letters + w2.letters, F2)
+        assert multiply(w1, w2) == Word.from_letters(w1.letters + w2.letters, F2)
 
     def test_signature_mismatch(self):
         with pytest.raises(ValueError):
             multiply(Word.identity(F2), Word.identity(MIXED))
 
     def test_inverse_examples(self):
-        assert inverse(reduce([1, 2], F2)).letters == (-2, -1)
+        assert inverse(Word.from_letters([1, 2], F2)).letters == (-2, -1)
         assert inverse(Word.identity(F2)) == Word.identity(F2)
         # order-2 letters are their own inverses
-        assert inverse(reduce([3, 1], MIXED)).letters == (-1, 3)
+        assert inverse(Word.from_letters([3, 1], MIXED)).letters == (-1, 3)
 
     @given(st.data())
     def test_inverse_cancels(self, data):
-        w = reduce(data.draw(random_letters(MIXED)), MIXED)
+        w = Word.from_letters(data.draw(random_letters(MIXED)), MIXED)
         assert multiply(w, inverse(w)).letters == ()
         assert multiply(inverse(w), w).letters == ()
 
     @given(st.data())
     def test_inverse_involution(self, data):
-        w = reduce(data.draw(random_letters(MIXED)), MIXED)
+        w = Word.from_letters(data.draw(random_letters(MIXED)), MIXED)
         assert inverse(inverse(w)) == w
 
     @given(st.data())
     def test_length_subadditive(self, data):
-        w1 = reduce(data.draw(random_letters(MIXED)), MIXED)
-        w2 = reduce(data.draw(random_letters(MIXED)), MIXED)
+        w1 = Word.from_letters(data.draw(random_letters(MIXED)), MIXED)
+        w2 = Word.from_letters(data.draw(random_letters(MIXED)), MIXED)
         assert len(multiply(w1, w2)) <= len(w1) + len(w2)
 
     @given(st.data())
     def test_length_parity_without_involutions(self, data):
         # cancellations remove letters two at a time
-        w1 = reduce(data.draw(random_letters(F2)), F2)
-        w2 = reduce(data.draw(random_letters(F2)), F2)
+        w1 = Word.from_letters(data.draw(random_letters(F2)), F2)
+        w2 = Word.from_letters(data.draw(random_letters(F2)), F2)
         assert (len(multiply(w1, w2)) - len(w1) - len(w2)) % 2 == 0
 
 
 class TestPalindromes:
     def test_examples(self):
-        assert is_palindrome(reduce([1, 2, 1], F2))
-        assert not is_palindrome(reduce([1, 2], F2))
+        assert is_palindrome(Word.from_letters([1, 2, 1], F2))
+        assert not is_palindrome(Word.from_letters([1, 2], F2))
         assert is_palindrome(Word.identity(F2))
 
     def test_sign_matters(self):
-        assert not is_palindrome(reduce([1, 2, -1], F2))
+        assert not is_palindrome(Word.from_letters([1, 2, -1], F2))
 
     @given(st.data())
     def test_inverse_of_palindrome_is_palindrome(self, data):
         seq = data.draw(st.lists(st.sampled_from(F2.alphabet()), min_size=1, max_size=7))
-        w = reduce(seq, F2)
-        mirrored = reduce(w.letters + w.letters[-2::-1], F2)
+        w = Word.from_letters(seq, F2)
+        mirrored = Word.from_letters(w.letters + w.letters[-2::-1], F2)
         if is_palindrome(mirrored) and len(mirrored) % 2 == 1:
             assert is_palindrome(inverse(mirrored))
             # no order-2 elements in a free group: p != p^-1
@@ -264,7 +263,7 @@ class TestBuildGenerators:
                 assert all(len(w) == k for w in gs.elements)
 
     def test_rejects_duplicate_or_inverse_members(self):
-        w = reduce([1, 2, 1], F2)
+        w = Word.from_letters([1, 2, 1], F2)
         with pytest.raises(ValueError):
             GeneratingSet((w, inverse(w)), 3, 2, "odd-k-even-d", F2)
 
@@ -272,7 +271,7 @@ class TestBuildGenerators:
 def injected_inverse_pair() -> GeneratingSet:
     """A 'generating set' holding a1a2a1 and its inverse as distinct members,
     built past the constructor's check that refuses it."""
-    w = reduce([1, 2, 1], F2)
+    w = Word.from_letters([1, 2, 1], F2)
     bad = GeneratingSet.__new__(GeneratingSet)
     object.__setattr__(bad, "elements", (w, inverse(w)))
     object.__setattr__(bad, "k", 3)
@@ -448,7 +447,7 @@ class TestCertifyFreeClaim:
     def test_even_k_suffix_law_fails(self):
         # a1a2 . a2a3 = a1a3 cancels only l = 1 letter, but its last two
         # letters are not those of the last factor a2a3.
-        gs = GeneratingSet((reduce([1, 2], INV3), reduce([2, 3], INV3)), 2, 2, "even-k", INV3)
+        gs = GeneratingSet((Word.from_letters([1, 2], INV3), Word.from_letters([2, 3], INV3)), 2, 2, "even-k", INV3)
         report = certify_free_claim(gs)
         assert not report.passed
         assert report.counterexample == ("a1a2", "a2a3")
@@ -539,7 +538,7 @@ class TestLevelByLevel:
         (build_generators(4, 3), 3, DEFAULT_SEQUENCE_BUDGET),
         (build_generators(5, 5), 3, 2000),
         (injected_inverse_pair(), 3, DEFAULT_SEQUENCE_BUDGET),
-        (GeneratingSet((reduce([1, 2], INV3), reduce([2, 3], INV3)), 2, 2, "even-k", INV3),
+        (GeneratingSet((Word.from_letters([1, 2], INV3), Word.from_letters([2, 3], INV3)), 2, 2, "even-k", INV3),
          4, DEFAULT_SEQUENCE_BUDGET),
     ], ids=["pass", "partial", "identity", "suffix"])
     def test_chunk_size_does_not_change_the_report(self, monkeypatch, gs, n_max, budget):
